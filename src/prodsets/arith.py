@@ -1,13 +1,13 @@
 """Exact integer arithmetic: primality, factorization, smoothness, sieves, CRT.
 
 Everything works on arbitrary-precision Python ints and is exact.  All
-functions are pure; the only shared state is a lock-protected prime sieve.
+functions are pure; the only shared state is the table of trial-division
+primes, built once at import.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -16,11 +16,10 @@ class DeskScaleError(ValueError):
     """An argument exceeds the enforced desk-scale budget."""
 
 
-TRIAL_DIVISION_LIMIT = 10**6  # trial division below this, Pollard rho above
+# trial division below this, Pollard rho above: rho finds a prime p in about
+# sqrt(p) steps where trial division takes pi(p), so rho wins from about 10^4
+TRIAL_DIVISION_LIMIT = 2**10
 PRIME_RANGE_LIMIT = 10**8     # segmented-sieve guard for primes_in_range
-
-_sieve_lock = threading.Lock()
-_trial_primes_cache: list[int] | None = None
 
 
 def primes_upto(n: int) -> list[int]:
@@ -36,21 +35,26 @@ def primes_upto(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
-def _trial_primes() -> list[int]:
-    global _trial_primes_cache
-    with _sieve_lock:
-        if _trial_primes_cache is None:
-            _trial_primes_cache = primes_upto(TRIAL_DIVISION_LIMIT)
-        return _trial_primes_cache
+_TRIAL_PRIMES = tuple(primes_upto(TRIAL_DIVISION_LIMIT))
 
 
 # ---------------------------------------------------------------------------
 # Primality
 # ---------------------------------------------------------------------------
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# Below this bound the 12 bases above are a proven deterministic witness set.
-_MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (psi_k, k): below psi_k the first k primes are a proven deterministic
+# Miller-Rabin witness set, psi_k being the least odd composite that is a
+# strong pseudoprime to all of them (OEIS A014233; Jaeschke 1993,
+# Sorenson-Webster 2015).  psi_8 = psi_7 and psi_11 = psi_10 = psi_9, so 8,
+# 10 and 11 bases prove nothing more than 7 and 9.
+_MR_BASE_COUNTS = ((2_047, 1), (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
+                   (2_152_302_898_747, 5), (3_474_749_660_383, 6),
+                   (341_550_071_728_321, 7), (3_825_123_056_546_413_051, 9),
+                   (318_665_857_834_031_151_167_461, 12),
+                   (3_317_044_064_679_887_385_961_981, 13))
+# Proven bound of all 13 bases 2..41; from it on a strong Lucas round is added.
+_MR_PROVEN_BOUND = _MR_BASE_COUNTS[-1][0]
 
 
 def _miller_rabin(n: int, base: int) -> bool:
@@ -128,9 +132,11 @@ def _strong_lucas_prp(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
-    Miller-Rabin with a proven witness set below ~3.3e24; beyond that a
-    strong Lucas round is added (the Baillie-PSW combination), which is exact
-    for anything the desk-scale experiments can produce.
+    Miller-Rabin with the first k prime bases, k the least count proven for
+    the size of n: 12 bases (2..37) below ~3.2e23, 13 bases (2..41) below
+    ~3.3e24.  From 3.3e24 on all 13 bases run and a strong Lucas round is
+    added (the Baillie-PSW combination), which has no known counterexample
+    but is proven only below 2^64.
     """
     if n < 2:
         return False
@@ -139,9 +145,10 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n < 41 * 41:
+    if n < 43 * 43:
         return True
-    for base in _SMALL_PRIMES:
+    count = next((k for bound, k in _MR_BASE_COUNTS if n < bound), len(_SMALL_PRIMES))
+    for base in _SMALL_PRIMES[:count]:
         if not _miller_rabin(n, base):
             return False
     if n >= _MR_PROVEN_BOUND and not _strong_lucas_prp(n):
@@ -211,7 +218,7 @@ def _pollard_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += 128
             r *= 2
@@ -219,41 +226,39 @@ def _pollard_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
     raise ArithmeticError(f"rho parameter sweep exhausted on {n}")
 
 
 def factorize(n: int) -> Factorization:
-    """Exact prime factorization (trial division, then rho splitting)."""
+    """Exact prime factorization: trial division by the primes below
+    TRIAL_DIVISION_LIMIT, then Pollard rho splitting of the rest."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     found: dict[int, int] = {}
     remaining = n
-    if remaining > 1:
-        for p in _trial_primes():
-            if p * p > remaining:
-                break
-            if remaining % p == 0:
-                e = 0
-                while remaining % p == 0:
-                    remaining //= p
-                    e += 1
-                found[p] = e
-                if remaining == 1:
-                    break
-        # remaining is now 1, prime, or a product of primes above the
-        # trial-division limit
-        stack = [remaining] if remaining > 1 else []
-        while stack:
-            m = stack.pop()
-            if is_prime(m):
-                found[m] = found.get(m, 0) + 1
-            else:
-                f = _pollard_rho(m)
-                stack.append(f)
-                stack.append(m // f)
+    for p in _TRIAL_PRIMES:
+        if p * p > remaining:
+            break
+        if remaining % p == 0:
+            e = 0
+            while remaining % p == 0:
+                remaining //= p
+                e += 1
+            found[p] = e
+    # remaining is now 1, prime, or a product of primes above the
+    # trial-division limit
+    stack = [remaining] if remaining > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            found[m] = found.get(m, 0) + 1
+        else:
+            f = _pollard_rho(m)
+            stack.append(f)
+            stack.append(m // f)
     return Factorization(n, tuple(sorted(found.items())))
 
 

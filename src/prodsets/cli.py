@@ -171,7 +171,8 @@ def _cmd_witness(args) -> int:
         "r": report.r,
         "k": report.k,
         "B_lower_bound": report.b_lower_bound,
-        "gamma": report.gamma,
+        # the default gamma is the int 2; an explicit --gamma is echoed as a float
+        "gamma": report.gamma if isinstance(report.gamma, int) else float(report.gamma),
         "num_terms": len(report.terms),
         "num_primes": len(report.primes),
         "degree_bound": report.degree_bound,
@@ -270,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="semicolon-separated irreducible factors, e.g. '1,0,1;0,1'")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--R", type=int, required=True)
-    p.add_argument("--gamma", type=float, default=2)
+    p.add_argument("--gamma", type=Fraction, default=2)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_witness)
 

@@ -29,6 +29,7 @@ MID_RANGE = "mid"    # qualifying prime factor in (R/2, R]
 MAX_WINDOW_LENGTH = 10**5
 MAX_TERM_BITS = 96
 MAX_ROOT_SCAN_PRIME = 10**6
+MAX_POWER_BITS = 10**6   # size of r^q and R^p in the exact case-2/3 split
 
 
 class NoAdmissibleResidueError(ValueError):
@@ -422,6 +423,40 @@ class WindowStats:
     log_smooth: float                    # ln of the R-smooth part of the product
 
 
+def _factor_window(f: PolynomialZ, r: int, window_length: int,
+                   residue: Optional[tuple[int, int]] = None, divisor: int = 1
+                   ) -> tuple[list[tuple[int, int]], dict[int, tuple[tuple[int, int], ...]]]:
+    """Validate the window {f(r+1), ..., f(r+R)} and factor it: the kept terms
+    (i, f(r+i) / divisor) in index order, only r+i = a (mod M) under a residue
+    filter (a, M), and the prime factors of each distinct term value."""
+    if window_length < 1:
+        raise ValueError("window length must be >= 1")
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if window_length > MAX_WINDOW_LENGTH:
+        raise DeskScaleError(f"window length capped at {MAX_WINDOW_LENGTH}")
+    a, modulus = (0, 1) if residue is None else residue
+    if modulus < 1 or not 0 <= a < modulus:
+        raise ValueError("residue filter must be (a, M) with 0 <= a < M")
+    terms = []
+    for i in range(1, window_length + 1):
+        x = r + i
+        if (x - a) % modulus:
+            continue
+        value = f(x)
+        if value <= 0:
+            raise ValueError(
+                f"window term f({x}) = {value} is not positive; shift the window first")
+        value, rem = divmod(value, divisor)
+        if rem:
+            raise ArithmeticError("content does not divide a window term")
+        if value.bit_length() > MAX_TERM_BITS:
+            raise DeskScaleError("window term exceeds the factorization budget")
+        terms.append((i, value))
+    factored = {value: factorize(value).factors for value in sorted({v for _, v in terms})}
+    return terms, factored
+
+
 def window_stats(f: PolynomialZ, r: int, window_length: int, prime_filter: str,
                  residue: Optional[tuple[int, int]] = None) -> WindowStats:
     """Factor every term f(r+i), i = 1..R, and record largest prime factors
@@ -433,49 +468,21 @@ def window_stats(f: PolynomialZ, r: int, window_length: int, prime_filter: str,
     """
     if prime_filter not in (ABOVE_R, MID_RANGE):
         raise ValueError(f"unknown prime filter: {prime_filter!r}")
-    if window_length < 1:
-        raise ValueError("window length must be >= 1")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if window_length > MAX_WINDOW_LENGTH:
-        raise DeskScaleError(f"window length capped at {MAX_WINDOW_LENGTH}")
     R = window_length
-    divisor = 1
-    a = modulus = None
-    if residue is not None:
-        a, modulus = residue
-        if modulus < 1 or not 0 <= a < modulus:
-            raise ValueError("residue filter must be (a, M) with 0 <= a < M")
-        divisor = content_d(f)
+    divisor = 1 if residue is None else content_d(f)
+    terms, factored = _factor_window(f, r, R, residue, divisor)
 
     records = []
     above = mid = 0
     log_smooth = 0.0
-    for i in range(1, R + 1):
-        x = r + i
-        if residue is not None and (x - a) % modulus != 0:
-            continue
-        value = f(x)
-        if value <= 0:
-            raise ValueError(
-                f"window term f({x}) = {value} is not positive; shift the window first")
-        if divisor != 1:
-            value, rem = divmod(value, divisor)
-            if rem:
-                raise ArithmeticError("content does not divide a window term")
-        if value.bit_length() > MAX_TERM_BITS:
-            raise DeskScaleError("window term exceeds the factorization budget")
-        if value == 1:
-            lpf = None
-            has_large = has_mid = False
-        else:
-            factors = factorize(value).factors
-            lpf = factors[-1][0]
-            has_large = lpf > R
-            has_mid = any(p <= R < 2 * p for p, _ in factors)
-            for p, e in factors:
-                if p <= R:
-                    log_smooth += e * math.log(p)
+    for i, value in terms:
+        factors = factored[value]
+        lpf = factors[-1][0] if factors else None
+        has_large = lpf is not None and lpf > R
+        has_mid = any(p <= R < 2 * p for p, _ in factors)
+        for p, e in factors:
+            if p <= R:
+                log_smooth += e * math.log(p)
         qualifies = has_large if prime_filter == ABOVE_R else has_mid
         records.append(WindowRecord(i, value, lpf, has_large, has_mid, qualifies))
         above += has_large
@@ -511,7 +518,7 @@ class WitnessReport:
     case: int
     r: int
     window_length: int
-    gamma: float
+    gamma: float | Fraction              # as passed; the case split reads it exactly
     terms: tuple[int, ...]
     primes: tuple[int, ...]
     degree_bound: int
@@ -521,11 +528,14 @@ class WitnessReport:
 
 
 def _beyond_power(r: int, window_length: int, gamma) -> bool:
-    if isinstance(gamma, int):
-        return r > window_length**gamma
-    if float(gamma).is_integer():
-        return r > window_length ** int(gamma)
-    return r > window_length ** float(gamma)
+    # r > R^gamma decided exactly as r^q > R^p for gamma = p/q in lowest
+    # terms; a float gamma is read as its shortest decimal (2.5 -> 5/2)
+    gamma = Fraction(repr(gamma)) if isinstance(gamma, float) else Fraction(gamma)
+    p, q = gamma.numerator, gamma.denominator
+    if q * r.bit_length() + abs(p) * window_length.bit_length() > MAX_POWER_BITS:
+        raise DeskScaleError(f"r^q and R^p for gamma = {gamma} capped at "
+                             f"{MAX_POWER_BITS} bits")
+    return r**q > Fraction(window_length) ** p
 
 
 def window_witness(factors: Sequence[PolynomialZ], r: int, window_length: int,
@@ -544,30 +554,14 @@ def window_witness(factors: Sequence[PolynomialZ], r: int, window_length: int,
     poly = poly_product(list(factors))
     if poly.leading <= 0:
         raise ValueError("the product must have a positive leading coefficient")
-    if window_length < 1:
-        raise ValueError("window length must be >= 1")
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if window_length > MAX_WINDOW_LENGTH:
-        raise DeskScaleError(f"window length capped at {MAX_WINDOW_LENGTH}")
     R = window_length
-
+    _, factored = _factor_window(poly, r, R)
     if any(f.degree >= 2 for f in factors):
         case = 1
     elif _beyond_power(r, R, gamma):
         case = 2
     else:
         case = 3
-
-    values = []
-    for i in range(1, R + 1):
-        value = poly(r + i)
-        if value <= 0:
-            raise ValueError(
-                f"window term P({r + i}) = {value} is not positive; shift the window first")
-        if value.bit_length() > MAX_TERM_BITS:
-            raise DeskScaleError("window term exceeds the factorization budget")
-        values.append(value)
 
     if case in (1, 2):
         def qualifying(p: int) -> bool:
@@ -577,8 +571,8 @@ def window_witness(factors: Sequence[PolynomialZ], r: int, window_length: int,
             return p <= R < 2 * p
 
     adjacency: dict[int, list[int]] = {}
-    for value in sorted(set(values)):
-        qualifiers = [p for p, _ in factorize(value).factors if qualifying(p)]
+    for value, value_factors in factored.items():
+        qualifiers = [p for p, _ in value_factors if qualifying(p)]
         if qualifiers:
             adjacency[value] = qualifiers
 

@@ -82,6 +82,27 @@ def test_is_prime_beyond_the_proven_witness_bound():
     assert not is_prime((2**61 - 1) ** 2)
 
 
+# psi_k of OEIS A014233 (distinct values): the least odd composite that is a
+# strong pseudoprime to all of the first k prime bases
+A014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 3825123056546413051, 318665857834031151167461,
+           3317044064679887385961981)
+
+
+def test_is_prime_rejects_the_a014233_strong_pseudoprimes():
+    for n in A014233:
+        assert not is_prime(n), n
+
+
+def test_miller_rabin_base_counts_match_a014233():
+    # psi_k fools all k bases used below it: there those bases stop being proven
+    assert [bound for bound, _ in arith._MR_BASE_COUNTS] == list(A014233)
+    for bound, count in arith._MR_BASE_COUNTS:
+        bases = arith._SMALL_PRIMES[:count]
+        assert all(arith._miller_rabin(bound, base) for base in bases), bound
+    assert arith._MR_PROVEN_BOUND == A014233[-1]
+
+
 def test_strong_lucas_agrees_with_trial_division():
     # smallest strong Lucas pseudoprime is 5459, so this range is conclusive
     for n in range(3, 5000, 2):

@@ -1,0 +1,74 @@
+"""factorize and is_prime against sympy over 1-80 bits.
+
+Covers random integers, prime powers and prime-square multiples just above
+the trial-division cutover (and above 2^16, 10^6 and 2^31), and Carmichael
+numbers, which fool the Fermat test for every coprime base.
+"""
+
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from prodsets.arith import TRIAL_DIVISION_LIMIT, factorize, is_prime
+
+ORACLE = settings(max_examples=80, derandomize=True, deadline=None, database=None)
+
+# least primes above 2^10 (the cutover), 2^16 and 10^6, with their successors
+ABOVE_CUTOVERS = ((1031, 1033), (65537, 65539), (1000003, 1000033))
+P_ABOVE_2_31 = 2147483659
+
+# Carmichael numbers: the first few, and Chernick's (6k+1)(12k+1)(18k+1) with
+# all three factors prime, at 60 and 80 bits
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185]
+CARMICHAEL += [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in (76491, 9770245)]
+
+
+def assert_matches_oracle(n):
+    assert dict(factorize(n).factors) == sympy.factorint(n), n
+
+
+@ORACLE
+@given(st.integers(min_value=1, max_value=2**48))
+def test_factorize_matches_sympy_up_to_48_bits(n):
+    assert_matches_oracle(n)
+
+
+@ORACLE
+@given(st.integers(min_value=1, max_value=2**40), st.integers(min_value=1, max_value=2**40))
+def test_factorize_matches_sympy_on_products_up_to_80_bits(a, b):
+    assert_matches_oracle(a * b)
+
+
+@ORACLE
+@given(st.integers(min_value=0, max_value=200), st.integers(min_value=2, max_value=4),
+       st.integers(min_value=1, max_value=2**40))
+def test_factorize_prime_powers_above_the_cutover(offset, exponent, cofactor):
+    p = sympy.nextprime(TRIAL_DIVISION_LIMIT + offset)
+    assert_matches_oracle(p**exponent * cofactor)
+
+
+def test_factorize_prime_powers_above_each_cutover():
+    for p, q in ABOVE_CUTOVERS:
+        for e in (2, 3, 4):
+            assert factorize(p**e).factors == ((p, e),)
+        assert factorize(p**2 * q).factors == ((p, 2), (q, 1))
+    assert factorize(P_ABOVE_2_31**2).factors == ((P_ABOVE_2_31, 2),)
+
+
+@settings(ORACLE, max_examples=200)
+@given(st.integers(min_value=0, max_value=2**80))
+def test_is_prime_matches_sympy_up_to_80_bits(n):
+    assert is_prime(n) == sympy.isprime(n), n
+
+
+@ORACLE
+@given(st.integers(min_value=2, max_value=80))
+def test_is_prime_accepts_primes_up_to_80_bits(bits):
+    assert is_prime(sympy.prevprime(2**bits + 1))
+    assert is_prime(sympy.nextprime(2 ** (bits - 1)))
+
+
+def test_carmichael_numbers_are_composite_and_factor():
+    for n in CARMICHAEL:
+        assert sympy.is_carmichael(n), n
+        assert not is_prime(n), n
+        assert_matches_oracle(n)

@@ -105,6 +105,25 @@ def test_window_residue_auto_with_out_file(capsys, tmp_path):
     assert len(body) == 13      # header + one row per kept index
 
 
+def test_window_largest_factor_of_a_strong_pseudoprime(capsys):
+    # psi_12 of OEIS A014233 fools Miller-Rabin for all bases 2..37
+    code, out, _ = run_cli(["window", "--poly", "318665857834031151167460,1",
+                            "--r", "0", "--R", "1", "--filter", "above"], capsys)
+    assert code == 0
+    assert out.split("\n")[1] == "1,318665857834031151167461,798330580441,true"
+
+
+def test_witness_gamma_is_compared_exactly(capsys):
+    # 25^12.5 = 5^25, one below r: case 2, which a float comparison misses
+    code, out, _ = run_cli(["witness", "--poly-factors", "0,1", "--r", str(5**25 + 1),
+                            "--R", "25", "--gamma", "12.5"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["case"] == 2
+    assert payload["gamma"] == 12.5
+    assert '"gamma": 12.5,' in out
+
+
 def test_witness_json_fields(capsys):
     code, out, _ = run_cli(["witness", "--poly-factors", "1,0,1", "--r", "0",
                             "--R", "50"], capsys)

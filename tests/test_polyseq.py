@@ -8,6 +8,7 @@ from prodsets.arith import DeskScaleError, primes_in_range, smooth_part
 from prodsets.polyseq import (
     ABOVE_R,
     MID_RANGE,
+    _beyond_power,
     PolynomialZ,
     admissible_residue,
     check_irreducible,
@@ -381,6 +382,18 @@ def test_window_witness_gamma_controls_case_split():
     assert window_witness(factors, 10**6, 20, gamma=2).case == 2
     assert window_witness(factors, 10**6, 20, gamma=10).case == 3
     assert window_witness(factors, 10**6, 20, gamma=1.5).case == 2
+
+
+def test_beyond_power_is_exact():
+    r = 5**25    # = 25^12.5
+    for gamma in (Fraction(25, 2), 12.5):
+        assert not _beyond_power(r, 25, gamma)
+        assert _beyond_power(r + 1, 25, gamma)
+    assert _beyond_power(2, 4, Fraction(1, 2)) is False      # 2 > 4^(1/2) fails
+    assert _beyond_power(3, 4, Fraction(1, 2))
+    assert _beyond_power(1, 4, -1)                           # 1 > 1/4
+    with pytest.raises(DeskScaleError):
+        _beyond_power(10**6, 20, Fraction(1, 10**6))
 
 
 def test_window_witness_empty_cover():
