@@ -232,9 +232,38 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho parameter sweep exhausted on {n}")
 
 
+def _iroot(n: int, k: int) -> int:
+    """Floor of the k-th root of n >= 1, by integer Newton steps."""
+    if k == 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // k)   # 2^ceil(bits/k) > root
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(m: int) -> tuple[int, int]:
+    """(r, k) with r^k = m and k a prime, or (m, 1) when m is no such power.
+
+    m has no prime factor below TRIAL_DIVISION_LIMIT = 2^10, so a root r is
+    above 2^10 and only exponents k <= bit_length / 10 can occur.
+    """
+    limit = m.bit_length() // 10
+    for k in _TRIAL_PRIMES:
+        if k > limit:
+            break
+        r = _iroot(m, k)
+        if r**k == m:
+            return r, k
+    return m, 1
+
+
 def factorize(n: int) -> Factorization:
     """Exact prime factorization: trial division by the primes below
-    TRIAL_DIVISION_LIMIT, then Pollard rho splitting of the rest."""
+    TRIAL_DIVISION_LIMIT, then Pollard rho splitting of the rest, each
+    composite first tested for being an exact power."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     found: dict[int, int] = {}
@@ -249,16 +278,21 @@ def factorize(n: int) -> Factorization:
                 e += 1
             found[p] = e
     # remaining is now 1, prime, or a product of primes above the
-    # trial-division limit
-    stack = [remaining] if remaining > 1 else []
+    # trial-division limit; the stack holds (factor, multiplicity)
+    stack = [(remaining, 1)] if remaining > 1 else []
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
         if is_prime(m):
-            found[m] = found.get(m, 0) + 1
+            found[m] = found.get(m, 0) + e
+            continue
+        # rho takes about sqrt(p) steps on p^k, an exact root far less
+        root, k = _perfect_power(m)
+        if k > 1:
+            stack.append((root, e * k))
         else:
             f = _pollard_rho(m)
-            stack.append(f)
-            stack.append(m // f)
+            stack.append((f, e))
+            stack.append((m // f, e))
     return Factorization(n, tuple(sorted(found.items())))
 
 

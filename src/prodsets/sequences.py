@@ -17,6 +17,8 @@ from .arith import factorize, is_perfect_square
 FIBONACCI = "fibonacci"  # U_n(1, -1): 1, 1, 2, 3, 5, 8, ...
 LUCAS_V = "lucas"        # V_n(1, -1): 1, 3, 4, 7, 11, 18, ...
 
+DEGENERATE_PAIRS = frozenset({(1, 1), (-1, 1), (0, 1), (0, -1)})
+
 
 @dataclass(frozen=True)
 class LucasSpec:
@@ -30,6 +32,11 @@ class LucasSpec:
             raise ValueError("P and Q must be coprime")
         if self.p * self.p - 4 * self.q == 0:
             raise ValueError("discriminant P^2 - 4Q must be nonzero")
+        # with P, Q coprime and P^2 != 4Q, the root ratio is a root of
+        # unity (terms periodic, with zeros) exactly for these pairs
+        if (self.p, self.q) in DEGENERATE_PAIRS:
+            raise ValueError(f"degenerate pair ({self.p}, {self.q}): "
+                             "the root ratio is a root of unity")
 
     @property
     def discriminant(self) -> int:
@@ -127,9 +134,7 @@ def primitive_divisor(spec: LucasSpec, n: int) -> Optional[int]:
     """
     if n < 2:
         raise ValueError("primitive divisors are defined for n >= 2")
-    terms = _u_terms(spec, n)
-    if any(t == 0 for t in terms):
-        raise ValueError("sequence has a zero term at or below n")
+    terms = _u_terms(spec, n)   # never 0: LucasSpec rejects the degenerate pairs
     target = abs(terms[-1])
     if target == 1:
         return None

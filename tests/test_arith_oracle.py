@@ -1,14 +1,16 @@
 """factorize and is_prime against sympy over 1-80 bits.
 
 Covers random integers, prime powers and prime-square multiples just above
-the trial-division cutover (and above 2^16, 10^6 and 2^31), and Carmichael
-numbers, which fool the Fermat test for every coprime base.
+the trial-division cutover (and above 2^16, 10^6 and 2^31), exact powers of
+primes above 2^31 and 2^40 (split by the perfect-power test, not by rho), and
+Carmichael numbers, which fool the Fermat test for every coprime base.
 """
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from prodsets.arith import TRIAL_DIVISION_LIMIT, factorize, is_prime
+from prodsets.arith import TRIAL_DIVISION_LIMIT, _iroot, _perfect_power, factorize, is_prime
 
 ORACLE = settings(max_examples=80, derandomize=True, deadline=None, database=None)
 
@@ -52,6 +54,35 @@ def test_factorize_prime_powers_above_each_cutover():
             assert factorize(p**e).factors == ((p, e),)
         assert factorize(p**2 * q).factors == ((p, 2), (q, 1))
     assert factorize(P_ABOVE_2_31**2).factors == ((P_ABOVE_2_31, 2),)
+
+
+@pytest.mark.parametrize("p", [sympy.nextprime(2**31), sympy.nextprime(2**40)])
+@pytest.mark.parametrize("exponent", [2, 3, 4, 5])
+def test_factorize_large_prime_powers(p, exponent):
+    assert_matches_oracle(p**exponent)
+    assert_matches_oracle(3 * 1031 * p**exponent)
+
+
+@ORACLE
+@given(st.integers(min_value=1, max_value=2**200), st.integers(min_value=2, max_value=12))
+def test_iroot_matches_sympy(n, k):
+    assert _iroot(n, k) == sympy.integer_nthroot(n, k)[0]
+
+
+def test_perfect_power_finds_prime_exponents():
+    p = sympy.nextprime(2**40)
+    assert _perfect_power(p**5) == (p, 5)
+    assert _perfect_power(p**4) == (p**2, 2)
+    assert _perfect_power(p**3 * 1031**3) == (p * 1031, 3)
+    assert _perfect_power(p * 1031) == (p * 1031, 1)
+    assert _perfect_power(p**2 * 1031) == (p**2 * 1031, 1)
+
+
+def test_factorize_powers_of_composites_above_the_cutover():
+    p, q = sympy.nextprime(2**40), ABOVE_CUTOVERS[0][0]
+    for exponent in (2, 3, 6):
+        assert_matches_oracle((p * q) ** exponent)
+    assert_matches_oracle(p**4 * q**2)
 
 
 @settings(ORACLE, max_examples=200)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from prodsets import cli
+from prodsets import acceptance, cli
 
 
 def run_cli(argv, capsys):
@@ -46,6 +46,14 @@ def test_lucas_bound_general_pair(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert ["7", 3] in payload["members"]
+
+
+def test_lucas_bound_rejects_degenerate_pair(capsys):
+    code, out, err = run_cli(["lucas-bound", "--set", "1,2", "--seq", "lucasU:1,1"],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert "degenerate" in err
 
 
 def test_lucas_bound_rejects_bad_values(capsys):
@@ -158,3 +166,18 @@ def test_reports_are_byte_stable(capsys):
     _, first, _ = run_cli(argv, capsys)
     _, second, _ = run_cli(argv, capsys)
     assert first == second
+
+
+def test_selftest_times_each_check_on_stderr(capsys, monkeypatch):
+    def failing():
+        raise acceptance.CheckFailure("bound broken")
+
+    monkeypatch.setattr(acceptance, "CHECKS",
+                        (("quick", lambda: "fine"), ("broken", failing)))
+    code, out, err = run_cli(["selftest"], capsys)
+    assert code == 1
+    assert out == "PASS quick: fine\nFAIL broken: bound broken\n"
+    lines = [line.split() for line in err.splitlines()]
+    assert [fields[0] for fields in lines] == ["quick", "broken"]
+    for _, cpu_s, wall_s in lines:
+        assert float(cpu_s) >= 0 and float(wall_s) >= 0

@@ -1,7 +1,9 @@
+from itertools import combinations
+
 import pytest
 
 from prodsets.arith import DeskScaleError
-from prodsets.extremal import lucas_count_check, max_fib_count, sharp_example
+from prodsets.extremal import fib_subsets, lucas_count_check, max_fib_count, sharp_example
 from prodsets.productset import BaseSet, build_product_set, sequence_members
 from prodsets.sequences import (
     FIBONACCI,
@@ -11,6 +13,60 @@ from prodsets.sequences import (
     lucas_v,
     membership,
 )
+
+
+def brute_fib_set(limit):
+    values, a, b = set(), 1, 2
+    while a <= limit:
+        values.add(a)
+        a, b = b, a + b
+    return values
+
+
+def brute_pair_map(combo, fib_values):
+    pairs = {}
+    for i, a in enumerate(combo):
+        for b in combo[i:]:
+            if a * b in fib_values:
+                pairs.setdefault(a * b, []).append((a, b))
+    return pairs
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_fib_subsets_matches_brute_force(n):
+    fib_values = brute_fib_set(n * n)
+    for k in range(1, 5):
+        walked = [(tuple(subset), {v: list(ps) for v, ps in pairs.items()})
+                  for subset, pairs in fib_subsets(n, k)]
+        for size in range(1, k + 1):
+            combos = list(combinations(range(1, n + 1), size))
+            assert [subset for subset, _ in walked if len(subset) == size] == combos
+        assert len(walked) == sum(1 for size in range(1, k + 1)
+                                  for _ in combinations(range(1, n + 1), size))
+        for subset, pairs in walked:
+            assert pairs == brute_pair_map(subset, fib_values), subset
+
+
+def test_fib_subsets_leaves_no_state_behind():
+    walk = fib_subsets(12, 3)
+    subset, pairs = next(walk)
+    assert (subset, pairs) == ([1], {1: [(1, 1)]})
+    for subset, pairs in walk:
+        pass
+    assert (subset, pairs) == ([], {})
+    assert list(fib_subsets(5, 0)) == []
+
+
+def test_max_fib_count_matches_brute_force():
+    for n in range(1, 21):
+        fib_values = brute_fib_set(n * n)
+        for k in range(1, min(n, 4) + 1):
+            best_count, best_combo = -1, None
+            for combo in combinations(range(1, n + 1), k):
+                count = len(brute_pair_map(combo, fib_values))
+                if count > best_count:
+                    best_count, best_combo = count, combo
+            assert max_fib_count(n, k) == (best_count, BaseSet(best_combo)), (n, k)
 
 
 def test_max_fib_count_trivial():

@@ -57,6 +57,17 @@ def test_lucas_spec_validation():
     assert FIBONACCI_SPEC.discriminant == 5
 
 
+@pytest.mark.parametrize("p,q", [(1, 1), (-1, 1), (0, 1), (0, -1)])
+def test_lucas_spec_rejects_degenerate_pairs(p, q):
+    # the root ratio is a root of unity: the terms are periodic with zeros
+    terms = [1, p]
+    for _ in range(10):
+        terms.append(p * terms[-1] - q * terms[-2])
+    assert 0 in terms
+    with pytest.raises(ValueError, match="degenerate"):
+        LucasSpec(p, q)
+
+
 def test_lucas_u_examples():
     assert lucas_u(FIBONACCI_SPEC, 10) == 55
     assert lucas_v(FIBONACCI_SPEC, 4) == 7
@@ -157,9 +168,8 @@ def test_primitive_divisor_against_direct_scan():
 
 
 def test_primitive_divisor_rejects_zero_terms():
-    degenerate = LucasSpec(1, 1)   # U_3 = 0
     with pytest.raises(ValueError):
-        primitive_divisor(degenerate, 3)
+        primitive_divisor(LucasSpec(1, 1), 3)   # U_3 = 0; the pair is rejected
     with pytest.raises(ValueError):
         primitive_divisor(FIBONACCI_SPEC, 1)
 
