@@ -5,7 +5,6 @@ from .arith import (
     Factorization,
     crt_solve,
     factorize,
-    integer_sqrt,
     is_perfect_square,
     is_prime,
     largest_prime_factor,
@@ -44,7 +43,6 @@ from .sequences import (
     LUCAS_V,
     LucasSpec,
     fib,
-    fib_gcd,
     is_fibonacci,
     is_lucas_number,
     lucas_u,

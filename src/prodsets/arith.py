@@ -345,13 +345,6 @@ def primes_in_range(lo_exclusive: int, hi_inclusive: int) -> list[int]:
 # Squares and CRT
 # ---------------------------------------------------------------------------
 
-def integer_sqrt(n: int) -> int:
-    """Floor of the square root, exactly."""
-    if n < 0:
-        raise ValueError("integer_sqrt requires n >= 0")
-    return math.isqrt(n)
-
-
 def is_perfect_square(n: int) -> bool:
     if n < 0:
         return False

@@ -95,12 +95,10 @@ def _edge_endpoints(graph: AuxGraph):
     return out
 
 
-def find_cycle(graph: AuxGraph) -> Optional[list]:
-    """A cycle of >= 2 distinct edges, as a vertex list v0, v1, ..., vk
-    (meaning v0-v1-...-vk-v0); None when the graph is a forest.
-
-    Self-loops never participate; a repeated vertex pair counts as a 2-cycle.
-    """
+def _walk(graph: AuxGraph) -> tuple[Optional[list], int]:
+    """One union-find pass over the non-loop edges in order: the first
+    cycle (the path that closes it, as find_cycle reports it, or None) and
+    the number of unions that merged two components."""
     parent: dict = {}
 
     def find(x):
@@ -112,14 +110,28 @@ def find_cycle(graph: AuxGraph) -> Optional[list]:
         return root
 
     adjacency: dict = {}
+    cycle = None
+    merges = 0
     for u, v in _edge_endpoints(graph):
         ru, rv = find(u), find(v)
         if ru == rv:
-            return _bfs_path(adjacency, u, v)
+            if cycle is None:
+                cycle = _bfs_path(adjacency, u, v)
+            continue
         parent[ru] = rv
+        merges += 1
         adjacency.setdefault(u, []).append(v)
         adjacency.setdefault(v, []).append(u)
-    return None
+    return cycle, merges
+
+
+def find_cycle(graph: AuxGraph) -> Optional[list]:
+    """A cycle of >= 2 distinct edges, as a vertex list v0, v1, ..., vk
+    (meaning v0-v1-...-vk-v0); None when the graph is a forest.
+
+    Self-loops never participate; a repeated vertex pair counts as a 2-cycle.
+    """
+    return _walk(graph)[0]
 
 
 def _bfs_path(adjacency, start, goal):
@@ -158,34 +170,20 @@ class EdgeBoundReport:
     num_components: int
     acyclic: bool
     forest_bound_ok: Optional[bool]  # non-loop edges <= vertices - 1; None if cyclic
+    cycle: Optional[list]            # as find_cycle returns it
 
 
 def edge_bound_report(graph: AuxGraph) -> EdgeBoundReport:
-    """Edge/vertex counts, acyclicity (ignoring self-loops) and the forest bound."""
+    """Edge/vertex counts, the first cycle (ignoring self-loops), components
+    and the forest bound, from one union-find pass."""
     vertices = graph.vertices
     loops = len(graph.self_loops)
-    acyclic = find_cycle(graph) is None
-    non_loop_edges = len(graph.edges) - loops
-
-    parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in _edge_endpoints(graph):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    components = len({find(v) for v in vertices})
-
+    cycle, merges = _walk(graph)
     forest_ok: Optional[bool] = None
-    if acyclic:
-        forest_ok = non_loop_edges <= len(vertices) - 1
+    if cycle is None:
+        forest_ok = len(graph.edges) - loops <= len(vertices) - 1
     return EdgeBoundReport(graph.mode, len(vertices), len(graph.edges), loops,
-                           components, acyclic, forest_ok)
+                           len(vertices) - merges, cycle is None, forest_ok, cycle)
 
 
 def dump_edges_csv(graph: AuxGraph) -> str:

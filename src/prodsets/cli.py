@@ -70,10 +70,6 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _number_str(value) -> str:
-    return str(value)
-
-
 def _vertex_label(vertex) -> str:
     if isinstance(vertex, tuple) and len(vertex) == 2 and vertex[0] in ("L", "R"):
         return f"{vertex[0]}:{vertex[1]}"
@@ -107,7 +103,7 @@ def _cmd_lucas_bound(args) -> int:
         "high_index_count": report.high_index_count,
         "high_index_bound": report.high_index_bound,
         "high_index_ok": report.high_index_ok,
-        "members": [[_number_str(v), i] for v, i in report.members],
+        "members": [[str(v), i] for v, i in report.members],
     })
     return 0
 
@@ -116,11 +112,11 @@ def _cmd_graph(args) -> int:
     base = _parse_set(args.set)
     kind = _parse_seq(args.seq)
     ps = build_product_set(base)
-    members = sequence_members(ps, sequences.membership(kind))
+    members = sequence_members(ps, kind)
     mode = auxgraph.ONE_CLASS if args.mode == "one" else auxgraph.TWO_CLASS
     graph = auxgraph.build_aux_graph(base, members, mode)
-    cycle = auxgraph.find_cycle(graph)
     report = auxgraph.edge_bound_report(graph)
+    cycle = report.cycle
     if args.dump:
         _write_atomic(args.dump, auxgraph.dump_edges_csv(graph))
     _print_json({
@@ -132,7 +128,7 @@ def _cmd_graph(args) -> int:
         "acyclic": report.acyclic,
         "forest_bound_ok": report.forest_bound_ok,
         "cycle": None if cycle is None else [_vertex_label(v) for v in cycle],
-        "members": [_number_str(m.value) for m in members],
+        "members": [str(m.value) for m in members],
     })
     return 0
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .arith import DeskScaleError
 from .productset import BaseSet, build_product_set, sequence_members
-from .sequences import SequenceKind, fib, fib_values_upto, membership
+from .sequences import SequenceKind, fib, fib_values_upto
 
 MAX_UNIVERSE = 40
 MAX_SET_SIZE = 6
@@ -108,7 +108,7 @@ class LucasBoundReport:
 
 def lucas_count_check(base: BaseSet, kind: SequenceKind) -> LucasBoundReport:
     ps = build_product_set(base)
-    found = sequence_members(ps, membership(kind))
+    found = sequence_members(ps, kind)
     size = len(base)
     count = len(found)
     high = sum(1 for m in found if m.index >= 31)

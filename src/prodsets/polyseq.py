@@ -83,14 +83,6 @@ class PolynomialZ:
         return f"PolynomialZ({list(self.coeffs)!r})"
 
 
-def poly_eval(f: PolynomialZ, x: int) -> int:
-    return f(x)
-
-
-def poly_derivative(f: PolynomialZ) -> PolynomialZ:
-    return f.derivative()
-
-
 def poly_product(factors: Sequence[PolynomialZ]) -> PolynomialZ:
     if not factors:
         raise ValueError("empty polynomial product")

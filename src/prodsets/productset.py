@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
+
+from .sequences import SequenceKind, term_table
 
 Exact = Union[int, Fraction]
 
@@ -107,19 +109,17 @@ def _as_int(value) -> Optional[int]:
     return None
 
 
-def sequence_members(ps: ProductSet,
-                     membership: Callable[[int], Optional[int]]) -> list[SequenceMember]:
-    """Product-set values the predicate recognises, ascending by value.
+def sequence_members(ps: ProductSet, kind: SequenceKind) -> list[SequenceMember]:
+    """Product-set values that are terms of the kind, ascending by value.
 
-    Non-integer values never match; each member carries its index and its
-    complete factor-pair provenance.
+    Non-integer values never match; each member carries its smallest index
+    and its complete factor-pair provenance.  One term table up to the
+    largest integer value serves every lookup.
     """
-    out = []
-    for value in ps.values():
-        as_int = _as_int(value)
-        if as_int is None:
-            continue
-        index = membership(as_int)
-        if index is not None:
-            out.append(SequenceMember(value, index, ps.pairs_for(value)))
-    return out
+    integers = [(value, as_int) for value in ps.values()
+                if (as_int := _as_int(value)) is not None]
+    if not integers:
+        return []
+    table = term_table(kind, integers[-1][1])
+    return [SequenceMember(value, table[as_int], ps.pairs_for(value))
+            for value, as_int in integers if as_int in table]

@@ -7,9 +7,9 @@ U_2 = P, V_1 = P, V_2 = P^2 - 2Q, all following X_k = P X_{k-1} - Q X_{k-2}.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from itertools import islice
+from typing import Iterator, Optional, Union
 
 from .arith import factorize, is_perfect_square
 
@@ -47,84 +47,105 @@ FIBONACCI_SPEC = LucasSpec(1, -1)
 
 SequenceKind = Union[LucasSpec, str]
 
-DEFAULT_INDEX_CAP = 500
+# Indices scanned for a pair of negative discriminant: the one remaining
+# bound.  There |U_n| is not monotone, and an exact stop needs a lower bound
+# on |U_n|; the best elementary one, |U_n| >= n - 1 for n > 30 (Bilu,
+# Hanrot and Voutier 2001), is far too weak to stop a scan.
+_NEGATIVE_DISC_SCAN = 500
+
+
+def _recurrence(p: int, q: int, x0: int, x1: int) -> Iterator[int]:
+    """X_1, X_2, ... of X_n = p X_{n-1} - q X_{n-2}, from X_0 and X_1."""
+    while True:
+        yield x1
+        x0, x1 = x1, p * x1 - q * x0
+
+
+def _terms(kind: SequenceKind) -> Iterator[int]:
+    """The terms of a kind from index 1: FIBONACCI is U(1, -1), LUCAS_V is
+    V(1, -1) and a LucasSpec is U(P, Q)."""
+    if kind == FIBONACCI:
+        return _recurrence(1, -1, 0, 1)
+    if kind == LUCAS_V:
+        return _recurrence(1, -1, 2, 1)
+    if isinstance(kind, LucasSpec):
+        return _recurrence(kind.p, kind.q, 0, 1)
+    raise TypeError(f"unknown sequence kind: {kind!r}")
+
+
+def _nth(terms: Iterator[int], n: int) -> int:
+    if n < 1:
+        raise ValueError("indices start at 1")
+    return next(islice(terms, n - 1, None))
+
+
+def term_table(kind: SequenceKind, limit: int) -> dict[int, int]:
+    """Each term t of the kind with 1 <= t <= limit -> its smallest index,
+    in the order of first appearance.
+
+    Exact for FIBONACCI, LUCAS_V and every pair of positive discriminant;
+    a pair of negative discriminant is scanned over its first 500 indices.
+    """
+    # Positive discriminant: |U_n| is nondecreasing, so the scan stops at
+    # the first |X_n| > limit.  Flipping the sign of P only alternates the
+    # signs of U_n, so take P >= 1 (P = 0 forces a degenerate pair).
+    #   Q < 0: U_{n+1} = P U_n + |Q| U_{n-1} >= U_n > 0.
+    #   Q > 0: P^2 > 4Q gives real roots alpha > beta > 0 with alpha > 1,
+    #          and U_{n+1} = alpha U_n + beta^n > U_n.
+    #   Q = 0: coprimality leaves (+-1, 0), whose terms (+-1)^(n-1) never
+    #          pass the limit; 1 = U_1 is the only term.
+    # V(1, -1) is positive and nondecreasing by the Q < 0 argument.
+    if isinstance(kind, LucasSpec) and kind.q == 0:
+        return {1: 1} if limit >= 1 else {}
+    bounded = isinstance(kind, LucasSpec) and kind.discriminant < 0
+    terms = _terms(kind)
+    table: dict[int, int] = {}
+    for index, term in enumerate(islice(terms, _NEGATIVE_DISC_SCAN) if bounded else terms,
+                                 start=1):
+        if not bounded and abs(term) > limit:
+            break
+        if 1 <= term <= limit:
+            table.setdefault(term, index)
+    return table
+
+
+def term_index(kind: SequenceKind, value: int) -> Optional[int]:
+    """Smallest index whose term equals value, else None (see term_table)."""
+    if value < 1:
+        return None
+    return term_table(kind, value).get(value)
 
 
 def fib(n: int) -> int:
     """n-th Fibonacci number, F_1 = F_2 = 1."""
-    if n < 1:
-        raise ValueError("Fibonacci indices start at 1")
-    a, b = 1, 1
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return a
+    return _nth(_terms(FIBONACCI), n)
 
 
 def fib_values_upto(limit: int) -> list[int]:
     """Distinct Fibonacci values <= limit, ascending."""
-    out: list[int] = []
-    a, b = 1, 1
-    while a <= limit:
-        if not out or out[-1] != a:
-            out.append(a)
-        a, b = b, a + b
-    return out
+    return list(term_table(FIBONACCI, limit))
 
 
 def lucas_u(spec: LucasSpec, n: int) -> int:
     """U_n(P, Q): U_1 = 1, U_2 = P."""
-    if n < 1:
-        raise ValueError("indices start at 1")
-    if n == 1:
-        return 1
-    a, b = 1, spec.p
-    for _ in range(n - 2):
-        a, b = b, spec.p * b - spec.q * a
-    return b
+    return _nth(_terms(spec), n)
 
 
 def lucas_v(spec: LucasSpec, n: int) -> int:
     """V_n(P, Q): V_1 = P, V_2 = P^2 - 2Q."""
-    if n < 1:
-        raise ValueError("indices start at 1")
-    if n == 1:
-        return spec.p
-    a, b = spec.p, spec.p * spec.p - 2 * spec.q
-    for _ in range(n - 2):
-        a, b = b, spec.p * b - spec.q * a
-    return b
-
-
-def _u_terms(spec: LucasSpec, n: int) -> list[int]:
-    terms = [1]
-    if n >= 2:
-        terms.append(spec.p)
-    while len(terms) < n:
-        terms.append(spec.p * terms[-1] - spec.q * terms[-2])
-    return terms
+    return _nth(_recurrence(spec.p, spec.q, 2, spec.p), n)
 
 
 def is_fibonacci(m: int) -> Optional[int]:
-    """Smallest index n with F_n = m, or None.
-
-    Membership is decided by the 5m^2 +/- 4 perfect-square characterisation
-    and the index recovered by direct generation; the two routes must agree.
-    """
+    """Smallest index n with F_n = m, or None."""
     if m < 1:
         raise ValueError("membership is defined for m >= 1")
-    square = 5 * m * m
-    if not (is_perfect_square(square + 4) or is_perfect_square(square - 4)):
-        return None
-    a, b, index = 1, 1, 1
-    while a < m:
-        a, b = b, a + b
-        index += 1
-    return index if a == m else None
+    return term_index(FIBONACCI, m)
 
 
-def fib_gcd(m: int, n: int) -> int:
-    """gcd(F_m, F_n), computed directly on the two values."""
-    return math.gcd(fib(m), fib(n))
+def is_lucas_number(m: int) -> Optional[int]:
+    """Index n with V_n(1, -1) = m, or None."""
+    return term_index(LUCAS_V, m)
 
 
 def primitive_divisor(spec: LucasSpec, n: int) -> Optional[int]:
@@ -134,7 +155,7 @@ def primitive_divisor(spec: LucasSpec, n: int) -> Optional[int]:
     """
     if n < 2:
         raise ValueError("primitive divisors are defined for n >= 2")
-    terms = _u_terms(spec, n)   # never 0: LucasSpec rejects the degenerate pairs
+    terms = list(islice(_terms(spec), n))  # never 0: LucasSpec rejects the degenerate pairs
     target = abs(terms[-1])
     if target == 1:
         return None
@@ -149,71 +170,5 @@ def square_fibonacci_indices(limit_index: int) -> list[int]:
     """All n <= limit_index with F_n a perfect square."""
     if limit_index < 1:
         raise ValueError("limit_index must be >= 1")
-    out = []
-    a, b = 1, 1
-    for n in range(1, limit_index + 1):
-        if is_perfect_square(a):
-            out.append(n)
-        a, b = b, a + b
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Membership with indices, for arbitrary sequence kinds
-# ---------------------------------------------------------------------------
-
-_table_lock = threading.Lock()
-_u_index_tables: dict[tuple[int, int, int], dict[int, int]] = {}
-_lucas_values: list[int] = [1, 3]  # V_1, V_2; grown on demand
-_lucas_indices: dict[int, int] = {1: 1, 3: 2}
-
-
-def is_lucas_number(m: int) -> Optional[int]:
-    """Index n with V_n(1, -1) = m, or None (the values are strictly increasing)."""
-    if m < 1:
-        return None
-    with _table_lock:
-        while _lucas_values[-1] < m:
-            nxt = _lucas_values[-1] + _lucas_values[-2]
-            _lucas_values.append(nxt)
-            _lucas_indices[nxt] = len(_lucas_values)
-        return _lucas_indices.get(m)
-
-
-def _u_index_table(spec: LucasSpec, cap: int) -> dict[int, int]:
-    key = (spec.p, spec.q, cap)
-    with _table_lock:
-        table = _u_index_tables.get(key)
-        if table is None:
-            table = {}
-            for index, term in enumerate(_u_terms(spec, cap), start=1):
-                if term >= 1 and term not in table:
-                    table[term] = index
-            _u_index_tables[key] = table
-        return table
-
-
-def term_index(kind: SequenceKind, value: int,
-               max_index: int = DEFAULT_INDEX_CAP) -> Optional[int]:
-    """Smallest index whose term equals value, else None.
-
-    The FIBONACCI and LUCAS_V markers are exact for every value; a general
-    LucasSpec is scanned up to max_index (ample at desk scale).
-    """
-    if value < 1:
-        return None
-    if kind == FIBONACCI:
-        return is_fibonacci(value)
-    if kind == LUCAS_V:
-        return is_lucas_number(value)
-    if isinstance(kind, LucasSpec):
-        return _u_index_table(kind, max_index).get(value)
-    raise TypeError(f"unknown sequence kind: {kind!r}")
-
-
-def membership(kind: SequenceKind,
-               max_index: int = DEFAULT_INDEX_CAP) -> Callable[[int], Optional[int]]:
-    """Membership predicate value -> smallest index (or None) for the kind."""
-    def predicate(value: int) -> Optional[int]:
-        return term_index(kind, value, max_index)
-    return predicate
+    return [n for n, term in enumerate(islice(_terms(FIBONACCI), limit_index), start=1)
+            if is_perfect_square(term)]

@@ -9,7 +9,6 @@ from prodsets.arith import (
     Factorization,
     crt_solve,
     factorize,
-    integer_sqrt,
     is_perfect_square,
     is_prime,
     largest_prime_factor,
@@ -227,11 +226,10 @@ def test_primes_in_range_guards():
 # --- squares -------------------------------------------------------------
 
 def test_integer_sqrt_examples():
-    assert integer_sqrt(144) == 12 and is_perfect_square(144)
-    assert integer_sqrt(34) == 5 and not is_perfect_square(34)
-    assert integer_sqrt(0) == 0 and is_perfect_square(0)
-    with pytest.raises(ValueError):
-        integer_sqrt(-1)
+    assert math.isqrt(144) == 12 and is_perfect_square(144)
+    assert math.isqrt(34) == 5 and not is_perfect_square(34)
+    assert math.isqrt(0) == 0 and is_perfect_square(0)
+    assert not is_perfect_square(-1)
 
 
 def test_is_perfect_square_against_square_table():

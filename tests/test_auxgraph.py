@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product as iter_product
 
 import pytest
@@ -20,13 +21,12 @@ from prodsets.sequences import (
     fib_values_upto,
     is_fibonacci,
     lucas_u,
-    membership,
 )
 
 
 def fib_graph(elements, mode):
     base = BaseSet(elements)
-    found = sequence_members(build_product_set(base), membership(FIBONACCI))
+    found = sequence_members(build_product_set(base), FIBONACCI)
     return build_aux_graph(base, found, mode)
 
 
@@ -109,6 +109,48 @@ def test_edge_bound_report_two_class_vertex_count():
     assert report.num_edges <= report.num_vertices - 1
 
 
+def test_edge_bound_report_matches_a_search_oracle():
+    # components by depth-first search; without self-loops a graph is a
+    # forest iff its edges number vertices - components.  Products of two
+    # primes are distinct, so any pair list over a prime base is a graph.
+    rng = random.Random(11)
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+    for _ in range(400):
+        base = tuple(sorted(rng.sample(primes, rng.randint(1, 7))))
+        pairs = {tuple(sorted(rng.choices(base, k=2))) for _ in range(rng.randint(0, 9))}
+        edges = tuple(sorted((b1, b2, b1 * b2) for b1, b2 in pairs))
+        for mode in (ONE_CLASS, TWO_CLASS):
+            graph = AuxGraph(mode, base, edges)
+            if mode == ONE_CLASS:
+                vertices = list(base)
+                links = [(b1, b2) for b1, b2, _ in edges if b1 != b2]
+            else:
+                vertices = [(side, b) for side in "LR" for b in base]
+                links = [(("L", b1), ("R", b2)) for b1, b2, _ in edges]
+            neighbours = {v: set() for v in vertices}
+            for u, v in links:
+                neighbours[u].add(v)
+                neighbours[v].add(u)
+            components, seen = 0, set()
+            for start in vertices:
+                if start not in seen:
+                    components += 1
+                    stack = [start]
+                    seen.add(start)
+                    while stack:
+                        for w in neighbours[stack.pop()] - seen:
+                            seen.add(w)
+                            stack.append(w)
+            report = edge_bound_report(graph)
+            assert report.num_components == components, (mode, base, edges)
+            assert report.acyclic == (len(links) == len(vertices) - components)
+            assert report.cycle == find_cycle(graph)
+            if report.cycle is not None:
+                cycle = report.cycle
+                assert len(set(cycle)) == len(cycle) >= 3
+                assert all(cycle[i - 1] in neighbours[cycle[i]] for i in range(len(cycle)))
+
+
 def test_forest_bound_on_acyclic_graphs():
     for elements in ([1, 2, 3, 5, 8], [2, 3, 4, 6, 9], [1, 11, 22, 13]):
         for mode in (ONE_CLASS, TWO_CLASS):
@@ -148,7 +190,7 @@ def test_high_index_lucas_terms_give_acyclic_graphs():
         elements = [1] + [lucas_u(spec, n) for n in range(31, 35)]
         base = BaseSet(elements)
         ps = build_product_set(base)
-        found = sequence_members(ps, membership(spec))
+        found = sequence_members(ps, spec)
         high = [m for m in found if m.index >= 31]
         assert len(high) >= 4
         for mode in (ONE_CLASS, TWO_CLASS):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from prodsets import acceptance, cli
+from prodsets.sequences import fib
 
 
 def run_cli(argv, capsys):
@@ -54,6 +55,19 @@ def test_lucas_bound_rejects_degenerate_pair(capsys):
     assert code == 2
     assert out == ""
     assert "degenerate" in err
+
+
+def test_lucas_bound_counts_high_fibonacci_terms_under_either_name(capsys):
+    # F_600 is U_600(1, -1): the general pair must find it as fib does
+    f600 = fib(600)
+    reports = []
+    for seq in ("fib", "lucasU:1,-1"):
+        code, out, _ = run_cli(["lucas-bound", "--set", f"1,{f600}", "--seq", seq], capsys)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1]
+    assert reports[0]["count"] == 2
+    assert reports[0]["members"] == [["1", 1], [str(f600), 600]]
 
 
 def test_lucas_bound_rejects_bad_values(capsys):

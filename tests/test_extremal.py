@@ -11,7 +11,6 @@ from prodsets.sequences import (
     LUCAS_V,
     lucas_u,
     lucas_v,
-    membership,
 )
 
 
@@ -83,7 +82,7 @@ def test_max_fib_count_universe_20():
     count, witness = max_fib_count(20, 3)
     assert count == 3
     ps = build_product_set(witness)
-    assert len(sequence_members(ps, membership(FIBONACCI))) == 3
+    assert len(sequence_members(ps, FIBONACCI)) == 3
 
 
 def test_max_fib_count_matches_set_size_at_desk_scale():
@@ -125,7 +124,7 @@ def test_sharp_example_values():
 def test_sharp_example_achieves_k(k):
     base = sharp_example(k)
     assert len(base) == k
-    found = sequence_members(build_product_set(base), membership(FIBONACCI))
+    found = sequence_members(build_product_set(base), FIBONACCI)
     assert len(found) == k
 
 

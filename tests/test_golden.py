@@ -1,12 +1,18 @@
 """Byte-identity of CLI reports on a fixed corpus.
 
-Each entry runs one ``window`` or ``witness`` command and compares the
-sha256 digests of its stdout and of its ``--out`` file (if any) with digests
-recorded from the reference implementation (trial division to 10^6, then
-Pollard rho).  The corpus spans degrees 1-4, both prime filters, the
-admissible residue filter, witness cases 1-3, and terms divisible by prime
-squares, cubes and fourth powers just above 2^10 and 2^16.  Commands run in
-a scratch directory so the ``out`` path echoed in JSON is fixed.
+Each entry runs one CLI command and compares the sha256 digests of its
+stdout and of the file it writes (``--out`` or ``--dump``, if any) with
+digests recorded from the reference implementation.  The ``window`` and
+``witness`` entries were recorded from trial division to 10^6, then Pollard
+rho; they span degrees 1-4, both prime filters, the admissible residue
+filter, witness cases 1-3, and terms divisible by prime squares, cubes and
+fourth powers just above 2^10 and 2^16.  The ``graph`` and ``lucas-bound``
+entries were recorded from the per-kind index paths (the 5m^2 +/- 4 test for
+Fibonacci, a growing table for Lucas numbers, a 500-term table per pair);
+they span fib, lucasV, pairs of positive and negative discriminant, the
+pairs (+-1, 0), fractional sets, both graph modes and cyclic sets with an
+edge dump.  Commands run in a scratch directory so the ``out`` path echoed
+in JSON is fixed.
 """
 
 import contextlib
@@ -68,6 +74,30 @@ CORPUS = [
                                      "--r", "1000", "--R", "40"]),
     ("witness-squares-2^10", ["witness", "--poly-factors", "0,1;0,1", "--r", "1024",
                               "--R", "30", "--gamma", "1"]),
+    ("lucas-bound-fib", ["lucas-bound", "--set", "1,2,3,4,5,6,8,13,21", "--seq", "fib"]),
+    ("lucas-bound-lucasV", ["lucas-bound", "--set", "1,2,3,4,7,9,11,18", "--seq", "lucasV"]),
+    ("lucas-bound-disc-pos-high-index", ["lucas-bound", "--set",
+                                         "1,3,7,15,31,2147483647,4294967295",
+                                         "--seq", "lucasU:3,2"]),
+    ("lucas-bound-disc-pos-negative-p", ["lucas-bound", "--set", "1,3,10,33,109",
+                                         "--seq", "lucasU:-3,-1"]),
+    ("lucas-bound-disc-neg", ["lucas-bound", "--set", "1,3,5,7,13,23", "--seq", "lucasU:1,2"]),
+    ("lucas-bound-1-0", ["lucas-bound", "--set", "1,2,3", "--seq", "lucasU:1,0"]),
+    ("lucas-bound-fraction", ["lucas-bound", "--set", "2,1/2,3/2,5/2,13/2", "--seq", "fib"]),
+    ("graph-fib-one", ["graph", "--set", "1,2,3,4,5,6,7,8,13", "--seq", "fib"]),
+    ("graph-fib-two", ["graph", "--set", "1,2,3,4,5,6,7,8,13", "--seq", "fib",
+                       "--mode", "two"]),
+    ("graph-lucasV-two", ["graph", "--set", "1,3,4,7,11", "--seq", "lucasV", "--mode", "two"]),
+    ("graph-disc-pos", ["graph", "--set", "1,3,7,21,31", "--seq", "lucasU:3,2"]),
+    ("graph-disc-neg-two", ["graph", "--set", "1,5,7,23", "--seq", "lucasU:1,2",
+                            "--mode", "two"]),
+    ("graph-1-0", ["graph", "--set", "1,2", "--seq", "lucasU:1,0"]),
+    ("graph-minus-1-0", ["graph", "--set", "1,2", "--seq", "lucasU:-1,0", "--mode", "two"]),
+    ("graph-fraction-two", ["graph", "--set", "2,1/2,3/2,5/2,13/2", "--seq", "fib",
+                            "--mode", "two"]),
+    ("graph-cyclic-dump", ["graph", "--set", "1/2,2,4", "--seq", "fib", "--dump", "edges.csv"]),
+    ("graph-cyclic-edges-after-cycle-dump", ["graph", "--set", "1/2,1,2,3,4,5,13,21", "--seq", "fib",
+                                 "--dump", "edges.csv"]),
 ]
 
 # sha256 of (stdout, --out file) per corpus entry, from the reference run
@@ -120,20 +150,55 @@ REFERENCE = {
         None),
     "witness-squares-2^10": ("e006155f70f2e2acbabea297d7991817aab90b8fd16d50e8e1ec38468a81eab1",
         None),
+    "lucas-bound-fib": ("7c7f96d285ce423c297ade919c575c33a184352aa22bcc258f2996796969445c",
+        None),
+    "lucas-bound-lucasV": ("4f40a1d9bcf411969b9976b26884416703057a1892a95c62a327dc9d39d59af7",
+        None),
+    "lucas-bound-disc-pos-high-index": ("c46a1406be5e6ef9e2191d50a00054f05dab30a0c15a9d228623113d2d6099d1",
+        None),
+    "lucas-bound-disc-pos-negative-p": ("ff194b8ef52a1ac8a08eee389ebc847c33a4f33de0d646fd3dbc250c915b70b7",
+        None),
+    "lucas-bound-disc-neg": ("6d42b9ab362c0a0c93e093e33e610fcaaa29028c3577f234324e19f3c27f71ee",
+        None),
+    "lucas-bound-1-0": ("ff6ca10a675a2aaa61dd362f3668ffe59baec8e4b06aa0e1a3ec4109de71efcc",
+        None),
+    "lucas-bound-fraction": ("d55bbfea16b167b78a12db08a1a3127ef78178b3b7fcbbf3ecfa708b32dfac86",
+        None),
+    "graph-fib-one": ("e9eb04e5a047f808137fd30b36cff3f645e429ef77effcfa40db4009beb8c226",
+        None),
+    "graph-fib-two": ("0d8ebe1d19989f755f56fb68e1846830c02a10201e16d0271ca20f185ecfe012",
+        None),
+    "graph-lucasV-two": ("b62d51edff745460a88f10770d53730cae32f93542e565d589cf680fda71abc4",
+        None),
+    "graph-disc-pos": ("628424337a9498a3471aa06edfc3b26fd0de84daf1639b1c68633141f8ad29e9",
+        None),
+    "graph-disc-neg-two": ("a4af99ed28c4b52bf5ed6f70c06d2ebd8c22970396786a4b52c0b557e747970a",
+        None),
+    "graph-1-0": ("1ee4e34213fc613f712b11d2afa316cb8493c1ae2e9ee8a408d54ca65c7d3ca5",
+        None),
+    "graph-minus-1-0": ("52188ab75d64922028d3f038723d423505bd68a4d449f0d0da726eed11c4f964",
+        None),
+    "graph-fraction-two": ("c85cb00ea494fd79b753ca40e42bfb5af48f7fea88d3e76acdecf1b4b6dcf9c2",
+        None),
+    "graph-cyclic-dump": ("8f6270118b0e63e54cc65ba7f1719284d06804f2c15aed1feff6b731697c3db2",
+        "313cdb6babea0e4b7a3ff5bf415b5ecc08d63dc24602eca2ebe0f8ab5eb65052"),
+    "graph-cyclic-edges-after-cycle-dump": ("b9342799b6f7ab0856dbea71766dd1658615390392f80af7494637a36c522495",
+        "b2e69da295b466dc7b60db0767427bd9eb193b63390ec676e04373b5d2bfe8b5"),
 }
 
 
 def run_report(argv):
-    """stdout bytes and --out file bytes (or None) of one CLI call, run in the
-    current directory."""
+    """stdout bytes and --out or --dump file bytes (or None) of one CLI call,
+    run in the current directory."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     assert code == 0, argv
     written = None
-    if "--out" in argv:
-        with open(argv[argv.index("--out") + 1], "rb") as handle:
-            written = handle.read()
+    for flag in ("--out", "--dump"):
+        if flag in argv:
+            with open(argv[argv.index(flag) + 1], "rb") as handle:
+                written = handle.read()
     return out.getvalue().encode(), written
 
 

@@ -14,8 +14,6 @@ from prodsets.polyseq import (
     check_irreducible,
     content_d,
     discriminant,
-    poly_derivative,
-    poly_eval,
     poly_product,
     positivity_shift,
     resultant,
@@ -75,8 +73,8 @@ def oracle_prime_factors(n):
 
 def test_poly_basics():
     f = PolynomialZ([1, 0, 1])
-    assert poly_eval(f, 3) == 10
-    assert poly_derivative(f) == PolynomialZ([0, 2])
+    assert f(3) == 10
+    assert f.derivative() == PolynomialZ([0, 2])
     assert poly_product([PolynomialZ([0, 1]), PolynomialZ([1, 1])]) == PolynomialZ([0, 1, 1])
     assert f.degree == 2 and f.leading == 1
 

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from prodsets.productset import BaseSet, build_product_set, sequence_members
-from prodsets.sequences import FIBONACCI, LUCAS_V, fib_values_upto, membership
+from prodsets.sequences import FIBONACCI, LUCAS_V, fib_values_upto
 
 
 def test_base_set_sorts_and_dedupes():
@@ -73,20 +73,20 @@ def test_pair_count_bound():
 
 def test_sequence_members_fibonacci_sharpness_witness():
     ps = build_product_set(BaseSet([1, 2, 3, 5, 8]))
-    found = sequence_members(ps, membership(FIBONACCI))
+    found = sequence_members(ps, FIBONACCI)
     assert [m.value for m in found] == [1, 2, 3, 5, 8]
     assert [m.index for m in found] == [1, 3, 4, 5, 6]
 
 
 def test_sequence_members_empty():
     ps = build_product_set(BaseSet([2, 3]))
-    assert sequence_members(ps, membership(FIBONACCI)) == []
+    assert sequence_members(ps, FIBONACCI) == []
 
 
 def test_sequence_members_lucas():
     ps = build_product_set(BaseSet([1, 3, 4, 7]))
     assert sorted(ps.values()) == [1, 3, 4, 7, 9, 12, 16, 21, 28, 49]
-    found = sequence_members(ps, membership(LUCAS_V))
+    found = sequence_members(ps, LUCAS_V)
     assert [m.value for m in found] == [1, 3, 4, 7]
 
 
@@ -94,7 +94,7 @@ def test_sequence_members_skips_non_integers():
     ps = build_product_set(BaseSet([Fraction(1, 2), 2, 3]))
     values = ps.values()
     assert Fraction(1, 4) in values and Fraction(3, 2) in values
-    found = sequence_members(ps, membership(FIBONACCI))
+    found = sequence_members(ps, FIBONACCI)
     assert [m.value for m in found] == [1]          # 1 = (1/2) * 2
     assert found[0].pairs == ((Fraction(1, 2), 2),)
 

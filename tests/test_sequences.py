@@ -1,23 +1,26 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
+from prodsets.arith import is_perfect_square
+from prodsets.productset import BaseSet, build_product_set, sequence_members
 from prodsets.sequences import (
     FIBONACCI,
     FIBONACCI_SPEC,
     LUCAS_V,
     LucasSpec,
     fib,
-    fib_gcd,
     fib_values_upto,
     is_fibonacci,
     is_lucas_number,
     lucas_u,
     lucas_v,
-    membership,
     primitive_divisor,
     square_fibonacci_indices,
     term_index,
+    term_table,
 )
 
 
@@ -107,12 +110,18 @@ def test_is_fibonacci_examples():
 
 
 def test_is_fibonacci_agrees_with_generation():
+    # two independent oracles: a plain generation loop for the index, and
+    # the characterisation "m is a Fibonacci number iff 5m^2 + 4 or 5m^2 - 4
+    # is a perfect square" for membership
     values = {}
     a, b, idx = 1, 1, 1
     while a <= 10000:
         values.setdefault(a, idx)
         a, b, idx = b, a + b, idx + 1
     for m in range(1, 10001):
+        square = 5 * m * m
+        member = is_perfect_square(square + 4) or is_perfect_square(square - 4)
+        assert (is_fibonacci(m) is not None) == member, m
         assert is_fibonacci(m) == values.get(m), m
 
 
@@ -123,9 +132,9 @@ def test_is_fibonacci_round_trip():
 
 
 def test_fib_gcd_examples():
-    assert fib_gcd(9, 6) == 2
-    assert fib_gcd(12, 8) == 3
-    assert fib_gcd(30, 30) == fib(30)
+    assert math.gcd(fib(9), fib(6)) == 2
+    assert math.gcd(fib(12), fib(8)) == 3
+    assert math.gcd(fib(30), fib(30)) == fib(30)
 
 
 def test_strong_divisibility():
@@ -133,10 +142,6 @@ def test_strong_divisibility():
     for m in range(1, 101):
         for n in range(1, 101):
             assert math.gcd(cache[m], cache[n]) == cache[math.gcd(m, n)]
-    # the public route agrees on a subgrid
-    for m in range(1, 25):
-        for n in range(1, 25):
-            assert fib_gcd(m, n) == cache[math.gcd(m, n)]
 
 
 def test_gcd_square_bound():
@@ -194,11 +199,80 @@ def test_term_index_markers_and_specs():
     assert term_index(LucasSpec(3, 2), 31) == 5
     assert term_index(LucasSpec(3, 2), 30) is None
     assert term_index(FIBONACCI, 0) is None
+    assert term_index(FIBONACCI, 8) == 6
+    assert term_index(FIBONACCI, 9) is None
     with pytest.raises(TypeError):
         term_index("nonsense", 3)
 
 
-def test_membership_predicate():
-    pred = membership(FIBONACCI)
-    assert pred(8) == 6
-    assert pred(9) is None
+def test_term_index_is_exact_past_index_500():
+    assert term_index(FIBONACCI_SPEC, fib(600)) == 600
+    assert term_index(FIBONACCI, fib(600)) == 600
+    assert term_index(LucasSpec(3, 2), 2**700 - 1) == 700
+    assert term_index(LucasSpec(3, 2), 2**700) is None
+    # U_n(-3, 2) = (-1)^(n-1) (2^n - 1): only odd indices are positive
+    assert term_index(LucasSpec(-3, 2), 2**701 - 1) == 701
+    assert term_index(LucasSpec(-3, 2), 2**700 - 1) is None
+    assert is_fibonacci(fib(600) + 1) is None
+    assert is_lucas_number(lucas_v(FIBONACCI_SPEC, 600)) == 600
+
+
+@pytest.mark.parametrize("p", [1, -1])
+def test_q_zero_pairs_terminate(p):
+    # U_n(+-1, 0) = (+-1)^(n-1): |U_n| never passes any limit
+    spec = LucasSpec(p, 0)
+    assert term_table(spec, 10**30) == {1: 1}
+    assert term_table(spec, 0) == {}
+    assert term_index(spec, 1) == 1
+    assert term_index(spec, 2) is None
+
+
+def valid_pairs(bound):
+    for p in range(-bound, bound + 1):
+        for q in range(-bound, bound + 1):
+            try:
+                yield LucasSpec(p, q)
+            except ValueError:
+                continue
+
+
+def test_abs_lucas_u_is_nondecreasing_for_positive_discriminant():
+    # the stop rule of term_table: the first |U_n| > limit ends the scan
+    for spec in valid_pairs(10):
+        if spec.discriminant < 0 or spec.q == 0:
+            continue
+        a, b = 0, 1
+        for n in range(1, 200):
+            a, b = b, spec.p * b - spec.q * a
+            assert abs(b) >= abs(a) >= 1, (spec, n)
+
+
+def brute_force_indices(spec, count=500):
+    """Smallest index of each positive term among U_1..U_count."""
+    out, u = {}, [1, spec.p]
+    while len(u) < count:
+        u.append(spec.p * u[-1] - spec.q * u[-2])
+    for n, term in enumerate(u, start=1):
+        if term >= 1:
+            out.setdefault(term, n)
+    return out
+
+
+def test_sequence_members_match_brute_force_for_small_pairs():
+    # every valid pair with |P|, |Q| <= 6, negative discriminants included;
+    # values stay below 10^7, far inside 500 indices for every pair with
+    # |U_n| unbounded
+    rng = random.Random(20150)
+    for spec in valid_pairs(6):
+        oracle = brute_force_indices(spec)
+        terms = [t for t in oracle if t <= 10**5]
+        for _ in range(4):
+            elems = set(rng.sample(terms, min(len(terms), rng.randint(1, 5))))
+            elems |= {rng.randint(1, 3000) for _ in range(rng.randint(1, 5))}
+            elems.add(Fraction(rng.choice(terms), rng.randint(2, 5)))
+            ps = build_product_set(BaseSet(elems))
+            found = sequence_members(ps, spec)
+            expected = [(v, oracle[v]) for v in ps.values()
+                        if isinstance(v, int) and v in oracle]
+            assert [(m.value, m.index) for m in found] == expected, (spec, elems)
+            assert all(m.pairs == ps.pairs_for(m.value) for m in found)
