@@ -16,7 +16,6 @@ from .auxgraph import (
     TWO_CLASS,
     AuxGraph,
     build_aux_graph,
-    count_self_loops,
     edge_bound_report,
     find_cycle,
 )

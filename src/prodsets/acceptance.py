@@ -175,8 +175,9 @@ def check_07_acyclic_representations() -> str:
 
 
 def check_08_cover_bound() -> str:
-    """500 random degree-bounded bipartite graphs (|B| <= 50, n <= 5):
-    the cover sequence verifies and k * n >= |B|."""
+    """500 random bipartite graphs (|B| <= 50) with a-degrees capped at a
+    drawn bound <= 5: n, the largest a-degree, is within that cap, the cover
+    sequence verifies and k * n >= |B|."""
     rng = random.Random(8451)
     for _ in range(500):
         bound = rng.randint(1, 5)
@@ -196,12 +197,14 @@ def check_08_cover_bound() -> str:
                     capacity[a] -= 1
                     neighbours[b].add(a)
         adjacency = {b: sorted(s) for b, s in neighbours.items()}
-        graph = coverlemma.Bipartite(range(a_count), range(b_count), adjacency, bound)
+        graph = coverlemma.Bipartite(adjacency)
+        n = graph.degree_bound
         seq = coverlemma.cover_sequence(graph)
+        _require(n <= bound, "largest degree %d above the drawn cap %d", n, bound)
         _require(coverlemma.verify_cover(graph, seq),
-                 f"cover failed verification (|B|={b_count}, n={bound})")
-        _require(len(seq) * bound >= b_count,
-                 f"k={len(seq)} too short for |B|={b_count}, n={bound}")
+                 "cover failed verification (|B|=%d, n=%d)", b_count, n)
+        _require(len(seq) * n >= b_count,
+                 "k=%d too short for |B|=%d, n=%d", len(seq), b_count, n)
     return "500 random graphs: covers verify and k * n >= |B|"
 
 

@@ -193,12 +193,6 @@ class Factorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def exponent_of(self, prime: int) -> int:
-        for p, e in self.factors:
-            if p == prime:
-                return e
-        return 0
-
 
 def _pollard_rho(n: int) -> int:
     """Nontrivial factor of an odd composite with no small prime factor.
@@ -319,7 +313,8 @@ def primes_in_range(lo_exclusive: int, hi_inclusive: int) -> list[int]:
     if lo_exclusive >= hi_inclusive:
         raise ValueError("need lo_exclusive < hi_inclusive")
     if hi_inclusive > PRIME_RANGE_LIMIT:
-        raise DeskScaleError(f"prime ranges capped at {PRIME_RANGE_LIMIT}")
+        raise DeskScaleError(f"prime ranges capped at {PRIME_RANGE_LIMIT} "
+                             f"(PRIME_RANGE_LIMIT); got hi = {hi_inclusive}")
     hi = hi_inclusive
     if hi < 2:
         return []

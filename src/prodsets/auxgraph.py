@@ -154,13 +154,6 @@ def _bfs_path(adjacency, start, goal):
     raise RuntimeError("endpoints not connected despite matching roots")
 
 
-def count_self_loops(graph: AuxGraph) -> int:
-    """Number of self-loop edges; only meaningful in ONE_CLASS mode."""
-    if graph.mode != ONE_CLASS:
-        raise ValueError("self-loops exist only in one-class graphs")
-    return len(graph.self_loops)
-
-
 @dataclass(frozen=True)
 class EdgeBoundReport:
     mode: str

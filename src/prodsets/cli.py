@@ -66,8 +66,12 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _print_json(payload: dict, out: str | None = None) -> None:
+    """Print the report; with ``out``, also write it there atomically."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if out:
+        _write_atomic(out, text)
+    print(text, end="")
 
 
 def _vertex_label(vertex) -> str:
@@ -78,16 +82,12 @@ def _vertex_label(vertex) -> str:
 
 def _cmd_fib_extremal(args) -> int:
     count, witness = extremal.max_fib_count(args.universe, args.size)
-    payload = {
+    _print_json({
         "universe_max": args.universe,
         "set_size": args.size,
         "max_count": count,
         "witness": [int(e) for e in witness],
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _write_atomic(args.out, text)
-    print(text, end="")
+    }, args.out)
     return 0
 
 
@@ -161,7 +161,7 @@ def _cmd_window(args) -> int:
 def _cmd_witness(args) -> int:
     factors = _parse_factors(args.poly_factors)
     report = polyseq.window_witness(factors, args.r, args.R, gamma=args.gamma)
-    payload = {
+    _print_json({
         "case": report.case,
         "R": report.window_length,
         "r": report.r,
@@ -173,19 +173,12 @@ def _cmd_witness(args) -> int:
         "num_primes": len(report.primes),
         "degree_bound": report.degree_bound,
         "cover": list(report.cover),
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _write_atomic(args.out, text)
-    print(text, end="")
+    }, args.out)
     return 0
 
 
 def _cmd_cover(args) -> int:
     adjacency: dict[str, list[str]] = {}
-    b_order: list[str] = []
-    a_order: list[str] = []
-    seen_a: set[str] = set()
     with open(args.graph) as handle:
         for line in handle:
             tokens = line.split()
@@ -195,24 +188,15 @@ def _cmd_cover(args) -> int:
             if b in adjacency:
                 raise ValueError(f"duplicate b-vertex line: {b}")
             adjacency[b] = neighbours
-            b_order.append(b)
-            for a in neighbours:
-                if a not in seen_a:
-                    seen_a.add(a)
-                    a_order.append(a)
-    degree: dict[str, int] = dict.fromkeys(a_order, 0)
-    for neighbours in adjacency.values():
-        for a in set(neighbours):
-            degree[a] += 1
-    bound = max(degree.values(), default=1)
-    graph = Bipartite(a_order, b_order, adjacency, bound)
+    graph = Bipartite(adjacency)
     seq = cover_sequence(graph)
+    bound = graph.degree_bound
     _print_json({
         "sequence": seq,
         "k": len(seq),
-        "b_count": len(b_order),
+        "b_count": len(adjacency),
         "degree_bound": bound,
-        "bound_ok": len(seq) * bound >= len(b_order),
+        "bound_ok": len(seq) * bound >= len(adjacency),
         "verified": verify_cover(graph, seq),
     })
     return 0

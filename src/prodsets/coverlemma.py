@@ -1,7 +1,7 @@
 """Fresh-neighbour cover sequences in degree-bounded bipartite graphs.
 
-Given a bipartite graph in which every a-vertex has degree <= n and every
-b-vertex has degree >= 1, ``cover_sequence`` returns b-vertices b_1, ..., b_k
+Given a bipartite graph in which every b-vertex has degree >= 1 and n is the
+largest a-degree, ``cover_sequence`` returns b-vertices b_1, ..., b_k
 such that each b_i is adjacent to an a-vertex that no earlier b_j touches,
 with k * n >= |B| guaranteed.  A single greedy pass is attempted first; when
 it keeps too few vertices, the kept ones are dropped and the procedure
@@ -15,41 +15,29 @@ from typing import Mapping, Sequence
 
 
 class Bipartite:
-    """Right-adjacency view of a bipartite graph with an a-side degree cap."""
+    """Bipartite graph given by its ``b -> neighbours`` mapping.
+
+    The mapping's order is the b-order; the a-vertices are the distinct
+    neighbours in order of first appearance, and ``degree_bound`` is the
+    largest a-degree (1 for the empty graph), the n of k * n >= |B|.
+    """
 
     __slots__ = ("a_vertices", "b_vertices", "adjacency", "degree_bound")
 
-    def __init__(self, a_vertices, b_vertices, adjacency: Mapping,
-                 degree_bound: int):
-        if degree_bound < 1:
-            raise ValueError("degree bound must be >= 1")
-        self.a_vertices = tuple(a_vertices)
-        self.b_vertices = tuple(b_vertices)
-        if len(set(self.a_vertices)) != len(self.a_vertices):
-            raise ValueError("duplicate a-vertex")
-        if len(set(self.b_vertices)) != len(self.b_vertices):
-            raise ValueError("duplicate b-vertex")
-        a_set = set(self.a_vertices)
-        degree = dict.fromkeys(self.a_vertices, 0)
+    def __init__(self, adjacency: Mapping):
         adj = {}
-        for b in self.b_vertices:
-            neighbours = tuple(dict.fromkeys(adjacency.get(b, ())))
+        degree: dict = {}
+        for b, neighbours in adjacency.items():
+            neighbours = tuple(dict.fromkeys(neighbours))
             if not neighbours:
                 raise ValueError(f"b-vertex {b!r} has degree 0")
             for a in neighbours:
-                if a not in a_set:
-                    raise ValueError(f"unknown a-vertex {a!r}")
-                degree[a] += 1
+                degree[a] = degree.get(a, 0) + 1
             adj[b] = neighbours
-        for a, d in degree.items():
-            if d > degree_bound:
-                raise ValueError(
-                    f"a-vertex {a!r} has degree {d} > bound {degree_bound}")
+        self.a_vertices = tuple(degree)
+        self.b_vertices = tuple(adj)
         self.adjacency = adj
-        self.degree_bound = degree_bound
-
-    def neighbours(self, b):
-        return self.adjacency[b]
+        self.degree_bound = max(degree.values(), default=1)
 
 
 def cover_sequence(graph: Bipartite) -> list:

@@ -72,7 +72,8 @@ def max_fib_count(universe_max: int, set_size: int) -> tuple[int, BaseSet]:
         raise ValueError("universe_max and set_size must be >= 1")
     if universe_max > MAX_UNIVERSE or set_size > MAX_SET_SIZE:
         raise DeskScaleError(
-            f"subset search capped at universe {MAX_UNIVERSE}, size {MAX_SET_SIZE}")
+            f"subset search capped at universe {MAX_UNIVERSE}, size {MAX_SET_SIZE} "
+            f"(MAX_UNIVERSE, MAX_SET_SIZE); got universe {universe_max}, size {set_size}")
     if set_size > universe_max:
         raise ValueError("set size exceeds universe size")
     best_count, best_combo = -1, None

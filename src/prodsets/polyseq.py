@@ -164,7 +164,8 @@ def content_d(f: PolynomialZ) -> int:
 def root_count_mod_p(f: PolynomialZ, p: int) -> int:
     """Number of x in [0, p) with f(x) = 0 (mod p), by direct scan."""
     if p > MAX_ROOT_SCAN_PRIME:
-        raise DeskScaleError(f"root scans capped at primes <= {MAX_ROOT_SCAN_PRIME}")
+        raise DeskScaleError(f"root scans capped at primes <= {MAX_ROOT_SCAN_PRIME} "
+                             f"(MAX_ROOT_SCAN_PRIME); got p = {p}")
     if not is_prime(p):
         raise ValueError("modulus must be prime")
     reduced = [c % p for c in reversed(f.coeffs)]
@@ -426,7 +427,8 @@ def _factor_window(f: PolynomialZ, r: int, window_length: int,
     if r < 0:
         raise ValueError("r must be >= 0")
     if window_length > MAX_WINDOW_LENGTH:
-        raise DeskScaleError(f"window length capped at {MAX_WINDOW_LENGTH}")
+        raise DeskScaleError(f"window length capped at {MAX_WINDOW_LENGTH} "
+                             f"(MAX_WINDOW_LENGTH); got R = {window_length}")
     a, modulus = (0, 1) if residue is None else residue
     if modulus < 1 or not 0 <= a < modulus:
         raise ValueError("residue filter must be (a, M) with 0 <= a < M")
@@ -443,7 +445,9 @@ def _factor_window(f: PolynomialZ, r: int, window_length: int,
         if rem:
             raise ArithmeticError("content does not divide a window term")
         if value.bit_length() > MAX_TERM_BITS:
-            raise DeskScaleError("window term exceeds the factorization budget")
+            raise DeskScaleError(
+                f"window terms capped at {MAX_TERM_BITS} bits (MAX_TERM_BITS); "
+                f"the term at x = {x} has {value.bit_length()} bits")
         terms.append((i, value))
     factored = {value: factorize(value).factors for value in sorted({v for _, v in terms})}
     return terms, factored
@@ -524,9 +528,11 @@ def _beyond_power(r: int, window_length: int, gamma) -> bool:
     # terms; a float gamma is read as its shortest decimal (2.5 -> 5/2)
     gamma = Fraction(repr(gamma)) if isinstance(gamma, float) else Fraction(gamma)
     p, q = gamma.numerator, gamma.denominator
-    if q * r.bit_length() + abs(p) * window_length.bit_length() > MAX_POWER_BITS:
-        raise DeskScaleError(f"r^q and R^p for gamma = {gamma} capped at "
-                             f"{MAX_POWER_BITS} bits")
+    bits = q * r.bit_length() + abs(p) * window_length.bit_length()
+    if bits > MAX_POWER_BITS:
+        raise DeskScaleError(f"r^q and R^p capped at {MAX_POWER_BITS} bits "
+                             f"(MAX_POWER_BITS); gamma = {gamma}, r = {r}, "
+                             f"R = {window_length} need {bits} bits")
     return r**q > Fraction(window_length) ** p
 
 
@@ -562,25 +568,15 @@ def window_witness(factors: Sequence[PolynomialZ], r: int, window_length: int,
         def qualifying(p: int) -> bool:
             return p <= R < 2 * p
 
-    adjacency: dict[int, list[int]] = {}
+    adjacency: dict[int, list[int]] = {}     # in ascending term order
     for value, value_factors in factored.items():
         qualifiers = [p for p, _ in value_factors if qualifying(p)]
         if qualifiers:
             adjacency[value] = qualifiers
 
-    terms = tuple(sorted(adjacency))
-    primes = tuple(sorted({p for qs in adjacency.values() for p in qs}))
-    degree: dict[int, int] = dict.fromkeys(primes, 0)
-    for qualifiers in adjacency.values():
-        for p in qualifiers:
-            degree[p] += 1
-    bound = max(degree.values(), default=1)
-
-    if terms:
-        graph = Bipartite(primes, terms, adjacency, bound)
-        cover = tuple(cover_sequence(graph))
-    else:
-        cover = ()
+    graph = Bipartite(adjacency)
+    cover = tuple(cover_sequence(graph))
     k = len(cover)
-    return WitnessReport(case, r, R, gamma, terms, primes, bound, cover, k,
-                         (k + 2) // 2)
+    return WitnessReport(case, r, R, gamma, graph.b_vertices,
+                         tuple(sorted(graph.a_vertices)), graph.degree_bound,
+                         cover, k, (k + 2) // 2)

@@ -1,4 +1,5 @@
-"""factorize and is_prime against sympy over 1-80 bits.
+"""factorize and is_prime against sympy over 1-80 bits; crt_solve against
+sympy's crt.
 
 Covers random integers, prime powers and prime-square multiples just above
 the trial-division cutover (and above 2^16, 10^6 and 2^31), exact powers of
@@ -6,11 +7,21 @@ primes above 2^31 and 2^40 (split by the perfect-power test, not by rho), and
 Carmichael numbers, which fool the Fermat test for every coprime base.
 """
 
+import math
+
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.ntheory.modular import crt
 
-from prodsets.arith import TRIAL_DIVISION_LIMIT, _iroot, _perfect_power, factorize, is_prime
+from prodsets.arith import (
+    TRIAL_DIVISION_LIMIT,
+    _iroot,
+    _perfect_power,
+    crt_solve,
+    factorize,
+    is_prime,
+)
 
 ORACLE = settings(max_examples=80, derandomize=True, deadline=None, database=None)
 
@@ -103,3 +114,21 @@ def test_carmichael_numbers_are_composite_and_factor():
         assert sympy.is_carmichael(n), n
         assert not is_prime(n), n
         assert_matches_oracle(n)
+
+
+@ORACLE
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=10**6),
+                          st.integers(min_value=0, max_value=10**12)), max_size=8))
+def test_crt_solve_matches_sympy(drawn):
+    # keep each modulus coprime to those before it, so the system is solvable
+    congruences, modulus = [], 1
+    for m, r in drawn:
+        if math.gcd(m, modulus) == 1:
+            congruences.append((r % m, m))
+            modulus *= m
+    x = crt_solve(congruences)
+    if congruences:
+        moduli, residues = zip(*((m, r) for r, m in congruences))
+        assert (x, modulus) == crt(moduli, residues)
+    else:
+        assert x == 0

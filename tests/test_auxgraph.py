@@ -8,7 +8,6 @@ from prodsets.auxgraph import (
     TWO_CLASS,
     AuxGraph,
     build_aux_graph,
-    count_self_loops,
     dump_edges_csv,
     edge_bound_report,
     find_cycle,
@@ -33,22 +32,21 @@ def fib_graph(elements, mode):
 def test_build_one_class_sharpness_witness():
     graph = fib_graph([1, 2, 3, 5, 8], ONE_CLASS)
     assert graph.edges == ((1, 1, 1), (1, 2, 2), (1, 3, 3), (1, 5, 5), (1, 8, 8))
-    assert count_self_loops(graph) == 1
+    assert len(graph.self_loops) == 1
     assert find_cycle(graph) is None
 
 
 def test_build_singleton_self_loop():
     graph = build_aux_graph([1], [(1, ((1, 1),))], ONE_CLASS)
     assert graph.edges == ((1, 1, 1),)
-    assert count_self_loops(graph) == 1
+    assert len(graph.self_loops) == 1
 
 
 def test_build_two_class_single_edge():
     graph = build_aux_graph([2, 3], [(6, ((2, 3),))], TWO_CLASS)
     assert graph.edges == ((2, 3, 6),)
     assert graph.vertices == (("L", 2), ("L", 3), ("R", 2), ("R", 3))
-    with pytest.raises(ValueError):
-        count_self_loops(graph)
+    assert graph.self_loops == ()
 
 
 def test_canonical_representation_uses_smallest_pair():
@@ -88,7 +86,7 @@ def test_find_cycle_two_class_four_cycle():
 def test_self_loops_do_not_create_cycles():
     graph = AuxGraph(ONE_CLASS, (1, 12), ((1, 1, 1), (12, 12, 144)))
     assert find_cycle(graph) is None
-    assert count_self_loops(graph) == 2
+    assert len(graph.self_loops) == 2
 
 
 def test_edge_bound_report_two_self_loops():

@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prodsets.coverlemma import Bipartite, cover_sequence, verify_cover
 
+ORACLE = settings(max_examples=200, derandomize=True, deadline=None, database=None)
+
 
 def test_single_a_vertex_shared_by_two():
-    graph = Bipartite(["a1"], ["b1", "b2"], {"b1": ["a1"], "b2": ["a1"]}, 2)
+    graph = Bipartite({"b1": ["a1"], "b2": ["a1"]})
+    assert graph.degree_bound == 2
     seq = cover_sequence(graph)
     assert seq == ["b1"]
     assert len(seq) * 2 >= 2
@@ -15,14 +19,14 @@ def test_single_a_vertex_shared_by_two():
 
 def test_perfect_matching_returns_all_in_order():
     adjacency = {f"b{i}": [f"a{i}"] for i in range(4)}
-    graph = Bipartite([f"a{i}" for i in range(4)], [f"b{i}" for i in range(4)],
-                      adjacency, 1)
+    graph = Bipartite(adjacency)
+    assert graph.degree_bound == 1
     assert cover_sequence(graph) == ["b0", "b1", "b2", "b3"]
 
 
 def test_three_b_vertices_bound_two():
     adjacency = {"b1": ["a1"], "b2": ["a1", "a2"], "b3": ["a2"]}
-    graph = Bipartite(["a1", "a2"], ["b1", "b2", "b3"], adjacency, 2)
+    graph = Bipartite(adjacency)
     seq = cover_sequence(graph)
     assert seq == ["b1", "b2"]
     assert len(seq) * 2 >= 3
@@ -32,7 +36,7 @@ def test_three_b_vertices_bound_two():
 def test_inductive_descent_when_greedy_keeps_too_few():
     # greedy keeps only b1; dropping it leaves a perfect matching on b2, b3
     adjacency = {"b1": ["a1", "a2"], "b2": ["a1"], "b3": ["a2"]}
-    graph = Bipartite(["a1", "a2"], ["b1", "b2", "b3"], adjacency, 2)
+    graph = Bipartite(adjacency)
     seq = cover_sequence(graph)
     assert seq == ["b2", "b3"]
     assert len(seq) * 2 >= 3
@@ -41,7 +45,7 @@ def test_inductive_descent_when_greedy_keeps_too_few():
 
 def test_determinism():
     adjacency = {i: [i % 3] for i in range(9)}
-    graph = Bipartite(range(3), range(9), adjacency, 3)
+    graph = Bipartite(adjacency)
     assert cover_sequence(graph) == cover_sequence(graph)
 
 
@@ -63,7 +67,9 @@ def _random_graph(rng):
                 capacity[a] -= 1
                 neighbours[b].add(a)
     adjacency = {b: sorted(s) for b, s in neighbours.items()}
-    return Bipartite(range(a_count), range(b_count), adjacency, bound), bound, b_count
+    graph = Bipartite(adjacency)
+    assert graph.degree_bound <= bound
+    return graph, graph.degree_bound, b_count
 
 
 def test_random_graphs_meet_the_bound():
@@ -94,9 +100,25 @@ def test_greedy_pass_versus_inductive_descent():
     assert greedy_shortfalls >= 1
 
 
+@ORACLE
+@given(st.dictionaries(st.integers(0, 40),
+                       st.lists(st.integers(0, 12), min_size=1, max_size=6),
+                       max_size=40))
+def test_cover_sequence_against_a_degree_count_oracle(adjacency):
+    # neighbour lists may repeat an a-vertex; it counts once towards its degree
+    a_side = {a for neighbours in adjacency.values() for a in neighbours}
+    largest = max((sum(a in neighbours for neighbours in adjacency.values())
+                   for a in a_side), default=1)
+    graph = Bipartite(adjacency)
+    assert graph.degree_bound == largest
+    seq = cover_sequence(graph)
+    assert verify_cover(graph, seq) == bool(adjacency)
+    assert len(seq) * graph.degree_bound >= len(adjacency)
+
+
 def test_verify_cover_rejects_bad_sequences():
     adjacency = {"b1": ["a1"], "b2": ["a1", "a2"]}
-    graph = Bipartite(["a1", "a2"], ["b1", "b2"], adjacency, 2)
+    graph = Bipartite(adjacency)
     assert not verify_cover(graph, [])
     assert not verify_cover(graph, ["b2", "b1"])   # V(b1) inside V(b2)
     assert not verify_cover(graph, ["b1", "b1"])
@@ -106,11 +128,15 @@ def test_verify_cover_rejects_bad_sequences():
 
 def test_bipartite_validation():
     with pytest.raises(ValueError):
-        Bipartite(["a1"], ["b1"], {"b1": []}, 1)           # degree-0 b
-    with pytest.raises(ValueError):
-        Bipartite(["a1"], ["b1"], {"b1": ["a2"]}, 1)       # unknown a
-    with pytest.raises(ValueError):
-        Bipartite(["a1"], ["b1", "b2"],
-                  {"b1": ["a1"], "b2": ["a1"]}, 1)         # a-degree over bound
-    with pytest.raises(ValueError):
-        Bipartite(["a1"], ["b1"], {"b1": ["a1"]}, 0)
+        Bipartite({"b1": []})                               # degree-0 b
+
+
+def test_bipartite_derives_a_side_and_degree_bound():
+    graph = Bipartite({"b2": ["a2", "a1", "a2"], "b1": ["a1"], "b3": ["a3"]})
+    assert graph.b_vertices == ("b2", "b1", "b3")
+    assert graph.a_vertices == ("a2", "a1", "a3")          # first appearance
+    assert graph.adjacency["b2"] == ("a2", "a1")           # repeats dropped
+    assert graph.degree_bound == 2                          # a1; a2 counts once
+    empty = Bipartite({})
+    assert (empty.a_vertices, empty.b_vertices, empty.degree_bound) == ((), (), 1)
+    assert cover_sequence(empty) == []

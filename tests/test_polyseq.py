@@ -396,7 +396,8 @@ def test_beyond_power_is_exact():
 
 def test_window_witness_empty_cover():
     report = window_witness([PolynomialZ([0, 1])], 0, 1)
-    assert report.terms == ()
+    assert report.terms == () and report.primes == ()
+    assert report.degree_bound == 1
     assert report.k == 0
     assert report.b_lower_bound == 1
 
