@@ -7,9 +7,7 @@ from .arith import (
     factorize,
     is_perfect_square,
     is_prime,
-    largest_prime_factor,
     primes_in_range,
-    smooth_part,
 )
 from .auxgraph import (
     ONE_CLASS,
@@ -25,13 +23,9 @@ from .polyseq import (
     ABOVE_R,
     MID_RANGE,
     PolynomialZ,
-    PolyWindowSetup,
     admissible_residue,
     content_d,
     discriminant,
-    positivity_shift,
-    root_count_mod_p,
-    window_setup,
     window_stats,
     window_witness,
 )
@@ -47,7 +41,6 @@ from .sequences import (
     lucas_u,
     lucas_v,
     primitive_divisor,
-    square_fibonacci_indices,
 )
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: primality, factorization, smoothness, sieves, CRT.
+"""Exact integer arithmetic: primality, factorization, sieves, CRT.
 
 Everything works on arbitrary-precision Python ints and is exact.  All
 functions are pure; the only shared state is the table of trial-division
@@ -288,24 +288,6 @@ def factorize(n: int) -> Factorization:
             stack.append((f, e))
             stack.append((m // f, e))
     return Factorization(n, tuple(sorted(found.items())))
-
-
-def smooth_part(n: int, bound: int) -> int:
-    """Largest divisor of n all of whose prime factors are <= bound."""
-    if n < 1:
-        raise ValueError("smooth_part requires n >= 1")
-    out = 1
-    for p, e in factorize(n).factors:
-        if p <= bound:
-            out *= p**e
-    return out
-
-
-def largest_prime_factor(n: int) -> int:
-    """Largest prime dividing n (n >= 2)."""
-    if n < 2:
-        raise ValueError("largest_prime_factor requires n >= 2")
-    return factorize(n).factors[-1][0]
 
 
 def primes_in_range(lo_exclusive: int, hi_inclusive: int) -> list[int]:

@@ -21,10 +21,20 @@ from .coverlemma import Bipartite, cover_sequence, verify_cover
 from .productset import BaseSet, build_product_set, sequence_members
 
 
+def _parse_fraction(token: str) -> Fraction:
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:   # a bad value (exit 2), not a program fault
+        raise ValueError(f"zero denominator in {token.strip()!r}") from None
+
+
+_parse_fraction.__name__ = "Fraction"   # argparse names the type in "invalid ... value"
+
+
 def _parse_exact(token: str):
     token = token.strip()
     if "/" in token:
-        return Fraction(token)
+        return _parse_fraction(token)
     return int(token)
 
 
@@ -251,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="semicolon-separated irreducible factors, e.g. '1,0,1;0,1'")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--R", type=int, required=True)
-    p.add_argument("--gamma", type=Fraction, default=2)
+    p.add_argument("--gamma", type=_parse_fraction, default=2)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_witness)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count as _count
 from typing import Optional, Sequence
 
 from .arith import (
@@ -19,7 +18,6 @@ from .arith import (
     crt_solve,
     factorize,
     is_perfect_square,
-    is_prime,
 )
 from .coverlemma import Bipartite, cover_sequence
 
@@ -28,7 +26,6 @@ MID_RANGE = "mid"    # qualifying prime factor in (R/2, R]
 
 MAX_WINDOW_LENGTH = 10**5
 MAX_TERM_BITS = 96
-MAX_ROOT_SCAN_PRIME = 10**6
 MAX_POWER_BITS = 10**6   # size of r^q and R^p in the exact case-2/3 split
 
 
@@ -161,24 +158,6 @@ def content_d(f: PolynomialZ) -> int:
     return g
 
 
-def root_count_mod_p(f: PolynomialZ, p: int) -> int:
-    """Number of x in [0, p) with f(x) = 0 (mod p), by direct scan."""
-    if p > MAX_ROOT_SCAN_PRIME:
-        raise DeskScaleError(f"root scans capped at primes <= {MAX_ROOT_SCAN_PRIME} "
-                             f"(MAX_ROOT_SCAN_PRIME); got p = {p}")
-    if not is_prime(p):
-        raise ValueError("modulus must be prime")
-    reduced = [c % p for c in reversed(f.coeffs)]
-    hits = 0
-    for x in range(p):
-        acc = 0
-        for c in reduced:
-            acc = (acc * x + c) % p
-        if acc == 0:
-            hits += 1
-    return hits
-
-
 # ---------------------------------------------------------------------------
 # Irreducibility screening (complete for degree <= 3)
 # ---------------------------------------------------------------------------
@@ -254,138 +233,6 @@ def admissible_residue(f: PolynomialZ) -> tuple[int, int]:
                 f"no residue modulo {pe} keeps the reduced values prime to {p}")
         congruences.append((residue, pe))
     return modulus, crt_solve(congruences)
-
-
-# ---------------------------------------------------------------------------
-# Positivity shift (exact, via Sturm chains)
-# ---------------------------------------------------------------------------
-
-def _strip(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _frac_derivative(coeffs: list[Fraction]) -> list[Fraction]:
-    return _strip([i * c for i, c in enumerate(coeffs)][1:])
-
-
-def _frac_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    rem = a[:]
-    db = len(b) - 1
-    lead = b[-1]
-    while rem and len(rem) - 1 >= db:
-        shift = len(rem) - 1 - db
-        scale = rem[-1] / lead
-        for i in range(db + 1):
-            rem[shift + i] -= scale * b[i]
-        rem = _strip(rem)
-    return rem
-
-
-def _sturm_chain(coeffs: list[Fraction]) -> list[list[Fraction]]:
-    chain = [_strip(coeffs[:])]
-    deriv = _frac_derivative(chain[0][:])
-    if deriv:
-        chain.append(deriv)
-    while len(chain[-1]) > 1:
-        rem = _frac_mod(chain[-2], chain[-1])
-        rem = _strip([-c for c in rem])
-        if not rem:
-            break
-        chain.append(rem)
-    return chain
-
-
-def _eval_frac(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        value = _eval_frac(poly, x)
-        if value != 0:
-            signs.append(1 if value > 0 else -1)
-    return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
-
-
-def _real_roots_in(f: PolynomialZ, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of f in (lo, hi], exactly (Sturm's theorem)."""
-    if hi <= lo:
-        return 0
-    chain = _sturm_chain([Fraction(c) for c in f.coeffs])
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
-
-
-def _root_upper_bound(f: PolynomialZ) -> Fraction:
-    # strictly above the Cauchy bound 1 + max|c_i| / |lead|
-    rest = max((abs(c) for c in f.coeffs[:-1]), default=0)
-    return Fraction(rest, abs(f.leading)) + 2
-
-
-def _positive_from(f: PolynomialZ, t: int) -> bool:
-    # f > 0 on [t, infinity): positive at t and no real root beyond t
-    if f.degree == 0:
-        return f.leading > 0
-    if f(t) <= 0:
-        return False
-    return _real_roots_in(f, Fraction(t), _root_upper_bound(f)) == 0
-
-
-def positivity_shift(poly: PolynomialZ) -> int:
-    """Least l >= 0 with poly(x + l) > 0 and poly'(x + l) > 0 for all real
-    x >= 1 (found by integer scan with exact root counting)."""
-    if poly.degree < 1:
-        raise ValueError("positivity shift needs degree >= 1")
-    if poly.leading <= 0:
-        raise ValueError("leading coefficient must be positive")
-    deriv = poly.derivative()
-    for shift in _count():
-        t = 1 + shift
-        if _positive_from(poly, t) and _positive_from(deriv, t):
-            return shift
-    raise AssertionError("unreachable")
-
-
-@dataclass(frozen=True)
-class PolyWindowSetup:
-    """Constants attached to an irreducible polynomial of degree >= 2.
-
-    ``modulus`` is |disc| * content^2 and ``residue`` its admissible class;
-    ``root_counts`` holds (p, roots of f mod p) for each prime dividing the
-    modulus; ``shift`` makes f and f' positive from x = 1 + shift on.  The
-    reduced polynomial f/content need not have integer coefficients, so it is
-    exposed as exact evaluation only.
-    """
-
-    f: PolynomialZ
-    content: int
-    disc: int
-    modulus: int
-    residue: int
-    root_counts: tuple[tuple[int, int], ...]
-    shift: int
-
-    def reduced_value(self, x: int) -> int:
-        value, remainder = divmod(self.f(x), self.content)
-        if remainder:
-            raise ArithmeticError("content does not divide a value")
-        return value
-
-
-def window_setup(f: PolynomialZ) -> PolyWindowSetup:
-    """All derived constants for an irreducible f of degree >= 2."""
-    modulus, residue = admissible_residue(f)
-    d = content_d(f)
-    disc = discriminant(f)
-    primes = factorize(modulus).primes if modulus > 1 else ()
-    root_counts = tuple((p, root_count_mod_p(f, p)) for p in primes)
-    return PolyWindowSetup(f, d, disc, modulus, residue, root_counts,
-                           positivity_shift(f))
 
 
 # ---------------------------------------------------------------------------

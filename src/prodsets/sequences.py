@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional, Union
 
-from .arith import factorize, is_perfect_square
+from .arith import factorize
 
 # Sequence markers for the two classical instances of the pair (1, -1).
 FIBONACCI = "fibonacci"  # U_n(1, -1): 1, 1, 2, 3, 5, 8, ...
@@ -164,11 +164,3 @@ def primitive_divisor(spec: LucasSpec, n: int) -> Optional[int]:
         if all(t % p != 0 for t in earlier):
             return p
     return None
-
-
-def square_fibonacci_indices(limit_index: int) -> list[int]:
-    """All n <= limit_index with F_n a perfect square."""
-    if limit_index < 1:
-        raise ValueError("limit_index must be >= 1")
-    return [n for n, term in enumerate(islice(_terms(FIBONACCI), limit_index), start=1)
-            if is_perfect_square(term)]

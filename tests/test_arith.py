@@ -11,10 +11,8 @@ from prodsets.arith import (
     factorize,
     is_perfect_square,
     is_prime,
-    largest_prime_factor,
     primes_in_range,
     primes_upto,
-    smooth_part,
 )
 
 
@@ -152,48 +150,6 @@ def test_factorization_validates_invariants():
         Factorization(16, ((4, 2),))             # composite "prime"
     with pytest.raises(ValueError):
         Factorization(2, ((2, 0),))              # zero exponent
-
-
-# --- smooth parts --------------------------------------------------------
-
-def test_smooth_part_examples():
-    assert smooth_part(720, 5) == 720
-    assert smooth_part(14, 3) == 2
-    assert smooth_part(13, 12) == 1
-
-
-def test_smooth_part_decomposition():
-    # n = smooth * rough, rough has no prime factor <= bound
-    for n in range(1, 500):
-        for bound in (2, 7, 30):
-            s = smooth_part(n, bound)
-            assert n % s == 0
-            rough = n // s
-            assert all(p > bound for p in oracle_factor(rough))
-
-
-def test_smooth_part_multiplicative_on_coprime_pairs():
-    rng = random.Random(7)
-    for _ in range(100):
-        a = rng.randint(1, 10**6)
-        b = rng.randint(1, 10**6)
-        if math.gcd(a, b) != 1:
-            continue
-        for bound in (10, 100):
-            assert smooth_part(a * b, bound) == smooth_part(a, bound) * smooth_part(b, bound)
-
-
-def test_smooth_part_rejects_zero():
-    with pytest.raises(ValueError):
-        smooth_part(0, 5)
-
-
-def test_largest_prime_factor():
-    assert largest_prime_factor(34) == 17
-    assert largest_prime_factor(8) == 2
-    assert largest_prime_factor(97) == 97
-    with pytest.raises(ValueError):
-        largest_prime_factor(1)
 
 
 # --- prime ranges --------------------------------------------------------

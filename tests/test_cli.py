@@ -76,6 +76,28 @@ def test_lucas_bound_rejects_bad_values(capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize("argv", [["graph", "--set", "1/0,2", "--seq", "fib"],
+                                  ["lucas-bound", "--set", "1/0", "--seq", "fib"]])
+def test_zero_denominator_in_a_set_exits_two(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: zero denominator in '1/0'\n"
+
+
+def test_zero_denominator_gamma_exits_two(capsys):
+    argv = ["witness", "--poly-factors", "0,1", "--r", "5", "--R", "3", "--gamma"]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["1/0"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: argument --gamma: invalid Fraction value: '1/0'" in err
+    code, out, _ = run_cli(argv + ["2"], capsys)     # an explicit gamma echoes as a float
+    assert code == 0
+    assert '"gamma": 2.0,' in out
+
+
 def test_bad_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["no-such-command"])

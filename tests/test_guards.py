@@ -10,7 +10,6 @@ from prodsets.polyseq import (
     ABOVE_R,
     PolynomialZ,
     _beyond_power,
-    root_count_mod_p,
     window_stats,
 )
 
@@ -19,8 +18,6 @@ GUARDS = {
                           ["100000000", "hi = 100000001"]),
     "MAX_UNIVERSE, MAX_SET_SIZE": (lambda: max_fib_count(41, 7),
                                    ["universe 40, size 6", "universe 41, size 7"]),
-    "MAX_ROOT_SCAN_PRIME": (lambda: root_count_mod_p(PolynomialZ([1, 0, 1]), 10**6 + 3),
-                            ["1000000", "p = 1000003"]),
     "MAX_WINDOW_LENGTH": (lambda: window_stats(PolynomialZ([0, 1]), 0, 10**5 + 1, ABOVE_R),
                           ["100000", "R = 100001"]),
     "MAX_TERM_BITS": (lambda: window_stats(PolynomialZ([0, 2**100]), 0, 5, ABOVE_R),

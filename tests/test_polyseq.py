@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from prodsets.arith import DeskScaleError, primes_in_range, smooth_part
+from prodsets.arith import DeskScaleError, primes_in_range
 from prodsets.polyseq import (
     ABOVE_R,
     MID_RANGE,
@@ -15,10 +15,7 @@ from prodsets.polyseq import (
     content_d,
     discriminant,
     poly_product,
-    positivity_shift,
     resultant,
-    root_count_mod_p,
-    window_setup,
     window_stats,
     window_stats_csv,
     window_witness,
@@ -56,17 +53,22 @@ def oracle_discriminant(f):
     return sign * res // f.leading
 
 
-def oracle_prime_factors(n):
-    out = set()
+def oracle_factorization(n):
+    """{p: e} with n = prod p^e, by trial division."""
+    out = {}
     d = 2
     while d * d <= n:
         while n % d == 0:
-            out.add(d)
+            out[d] = out.get(d, 0) + 1
             n //= d
         d += 1
     if n > 1:
-        out.add(n)
+        out[n] = out.get(n, 0) + 1
     return out
+
+
+def oracle_prime_factors(n):
+    return set(oracle_factorization(n))
 
 
 # --- polynomial basics -------------------------------------------------------
@@ -93,6 +95,7 @@ def test_discriminant_examples():
     assert discriminant(PolynomialZ([1, 0, 1])) == -4
     assert discriminant(PolynomialZ([6, -5, 1])) == 1
     assert discriminant(PolynomialZ([0, -1, 0, 1])) == 4
+    assert discriminant(PolynomialZ([2, 1, 1])) == -7
     with pytest.raises(ValueError):
         discriminant(PolynomialZ([3]))
 
@@ -128,32 +131,17 @@ def test_content_examples():
     assert content_d(PolynomialZ([0, 1, 1])) == 2      # x^2 + x
     assert content_d(PolynomialZ([1, 0, 1])) == 1
     assert content_d(PolynomialZ([4, 2])) == 2
+    assert content_d(PolynomialZ([2, 1, 1])) == 2      # x^2 + x + 2, coefficients coprime
 
 
 def test_content_matches_gcd_over_many_values():
     for f in (PolynomialZ([0, 1, 1]), PolynomialZ([1, 0, 1]),
-              PolynomialZ([0, -1, 3, 2]), PolynomialZ([6, 12, 18])):
+              PolynomialZ([0, -1, 3, 2]), PolynomialZ([6, 12, 18]),
+              PolynomialZ([2, 1, 1])):
         expected = 0
         for x in range(1, 1001):
             expected = math.gcd(expected, f(x))
         assert content_d(f) == expected
-
-
-def test_root_count_examples():
-    f = PolynomialZ([1, 0, 1])
-    assert root_count_mod_p(f, 5) == 2
-    assert root_count_mod_p(f, 3) == 0
-    assert root_count_mod_p(f, 2) == 1
-    with pytest.raises(ValueError):
-        root_count_mod_p(f, 10)
-    with pytest.raises(DeskScaleError):
-        root_count_mod_p(f, 10**6 + 3)
-
-
-def test_root_count_matches_direct_scan():
-    f = PolynomialZ([3, -1, 0, 1])
-    for p in (2, 3, 5, 7, 11, 13):
-        assert root_count_mod_p(f, p) == sum(1 for x in range(p) if f(x) % p == 0)
 
 
 def test_check_irreducible():
@@ -171,13 +159,14 @@ def test_check_irreducible():
 def test_admissible_residue_examples():
     assert admissible_residue(PolynomialZ([1, 0, 1])) == (4, 0)
     assert admissible_residue(PolynomialZ([1, 1, 1])) == (3, 0)
+    assert admissible_residue(PolynomialZ([2, 1, 1])) == (28, 0)   # |-7| * 2^2
     with pytest.raises(ValueError):
         admissible_residue(PolynomialZ([7, 3]))          # degree too small
     with pytest.raises(ValueError):
         admissible_residue(PolynomialZ([-1, 0, 1]))      # reducible
 
 
-@pytest.mark.parametrize("coeffs", [[1, 0, 1], [1, 1, 1], [2, 0, 1], [3, 1, 1]])
+@pytest.mark.parametrize("coeffs", [[1, 0, 1], [1, 1, 1], [2, 0, 1], [3, 1, 1], [2, 1, 1]])
 def test_admissible_residue_full_period(coeffs):
     f = PolynomialZ(coeffs)
     modulus, a = admissible_residue(f)
@@ -185,69 +174,6 @@ def test_admissible_residue_full_period(coeffs):
     for t in range(min(modulus, 10**4)):
         x = a + t * modulus
         assert math.gcd(f(x) // d, modulus) == 1
-
-
-def test_window_setup_aggregates_the_constants():
-    setup = window_setup(PolynomialZ([1, 0, 1]))
-    assert (setup.content, setup.disc, setup.modulus, setup.residue) == (1, -4, 4, 0)
-    assert setup.root_counts == ((2, 1),)
-    assert setup.shift == 0
-    assert setup.reduced_value(3) == 10
-
-    # value content can exceed the coefficient content
-    setup = window_setup(PolynomialZ([2, 1, 1]))     # x^2 + x + 2, values all even
-    assert setup.content == 2
-    assert setup.disc == -7
-    assert setup.modulus == 28
-    for x in range(0, 40):
-        assert setup.reduced_value(x) * 2 == x * x + x + 2
-    for t in range(setup.modulus):
-        x = setup.residue + t * setup.modulus
-        assert math.gcd(setup.reduced_value(x), setup.modulus) == 1
-    for p, rho in setup.root_counts:
-        assert rho == sum(1 for x in range(p) if (x * x + x + 2) % p == 0)
-
-
-def test_positivity_shift_examples():
-    assert positivity_shift(PolynomialZ([1, 0, 1])) == 0     # x^2 + 1
-    assert positivity_shift(PolynomialZ([-10, 1])) == 10     # x - 10
-    assert positivity_shift(PolynomialZ([0, -6, 1])) == 6    # x^2 - 6x
-    with pytest.raises(ValueError):
-        positivity_shift(PolynomialZ([0, -1]))
-    with pytest.raises(ValueError):
-        positivity_shift(PolynomialZ([5]))
-
-
-def test_positivity_shift_more_cases():
-    assert positivity_shift(PolynomialZ([15, -8, 1])) == 5   # (x-3)(x-5)
-    assert positivity_shift(PolynomialZ([0, -7, 0, 1])) == 2  # x^3 - 7x
-
-
-def test_positivity_shift_is_minimal_and_sufficient():
-    for coeffs in ([1, 0, 1], [-10, 1], [0, -6, 1], [15, -8, 1], [0, -7, 0, 1]):
-        f = PolynomialZ(coeffs)
-        shift = positivity_shift(f)
-        deriv = f.derivative()
-        # sufficient on a dense rational sample
-        for step in range(0, 400):
-            x = Fraction(step, 10) + 1
-            value = sum(c * (x + shift) ** i for i, c in enumerate(f.coeffs))
-            assert value > 0
-            if deriv.degree >= 1 or deriv.leading > 0:
-                dvalue = sum(c * (x + shift) ** i for i, c in enumerate(deriv.coeffs))
-                assert dvalue > 0
-        # minimal: the previous shift fails somewhere
-        if shift > 0:
-            bad_shift = shift - 1
-            ok = True
-            for step in range(0, 400):
-                x = Fraction(step, 10) + 1
-                value = sum(c * (x + bad_shift) ** i for i, c in enumerate(f.coeffs))
-                dvalue = sum(c * (x + bad_shift) ** i for i, c in enumerate(deriv.coeffs))
-                if value <= 0 or dvalue <= 0:
-                    ok = False
-                    break
-            assert not ok
 
 
 # --- window statistics -------------------------------------------------------
@@ -305,9 +231,11 @@ def test_window_smooth_rough_decomposition():
     product = smooth = rough = 1
     for rec in stats.records:
         product *= rec.value
-        s = smooth_part(rec.value, 25)
-        smooth *= s
-        rough *= rec.value // s
+        for p, e in oracle_factorization(rec.value).items():
+            if p <= 25:
+                smooth *= p**e
+            else:
+                rough *= p**e
     assert smooth * rough == product
     assert math.isclose(stats.log_smooth, math.log(smooth), rel_tol=1e-9)
 

@@ -18,7 +18,6 @@ from prodsets.sequences import (
     lucas_u,
     lucas_v,
     primitive_divisor,
-    square_fibonacci_indices,
     term_index,
     term_table,
 )
@@ -177,12 +176,6 @@ def test_primitive_divisor_rejects_zero_terms():
         primitive_divisor(LucasSpec(1, 1), 3)   # U_3 = 0; the pair is rejected
     with pytest.raises(ValueError):
         primitive_divisor(FIBONACCI_SPEC, 1)
-
-
-def test_square_fibonacci_indices():
-    assert square_fibonacci_indices(60) == [1, 2, 12]
-    assert square_fibonacci_indices(11) == [1, 2]
-    assert square_fibonacci_indices(1) == [1]
 
 
 def test_is_lucas_number():
