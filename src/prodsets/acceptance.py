@@ -141,16 +141,32 @@ def check_06_lucas_term_bound() -> str:
     return "1000 random sets under 2|B| + 30; witness sets under 2|B| - 1"
 
 
-def check_07_acyclic_representations() -> str:
-    """Over the same corpus: every representation assignment leaves the
-    one-class Fibonacci graph cycle-free, with at most two self-loops, always
-    on the values 1 and 144."""
+def _acyclic_representations(universe_max: int, max_size: int) -> int:
+    """Every representation assignment of every B in {1..universe_max} with
+    |B| <= max_size leaves the one-class Fibonacci graph cycle-free, with at
+    most two self-loops, always on the values 1 and 144; returns the number
+    of (B, assignment) graphs this covers.
+
+    B's graphs are those of its core part S (``extremal.fib_core``) plus
+    isolated vertices, which change no cycle and no self-loop.  So each
+    distinct member map of the core walk is checked once, building every
+    assignment's graph, and each S of size j counts for the sets that pad it
+    with 0 .. max_size - j inactive elements.
+    """
+    pad = universe_max - len(extremal.fib_core(universe_max))
+    padded = [sum(math.comb(pad, size - j) for size in range(j, max_size + 1))
+              for j in range(max_size + 1)]
     graphs_checked = 0
-    for subset, members in extremal.fib_subsets(30, 5):
+    seen = set()
+    for subset, members in extremal.fib_subsets(universe_max, max_size):
         if not members:
             continue
+        items = tuple(sorted((v, tuple(ps)) for v, ps in members.items()))
+        graphs_checked += padded[len(subset)] * math.prod(len(ps) for _, ps in items)
+        if items in seen:
+            continue
+        seen.add(items)
         combo = tuple(subset)
-        items = sorted(members.items())
         square_values = {v for v, ps in items if any(b1 == b2 for b1, b2 in ps)}
         _require(square_values <= {1, 144},
                  "B = %s: square member values %s", combo, square_values)
@@ -163,7 +179,14 @@ def check_07_acyclic_representations() -> str:
             _require(len(loops) <= 2, "B = %s: %d self-loops", combo, len(loops))
             _require({e[2] for e in loops} <= {1, 144},
                      "B = %s: unexpected self-loop values", combo)
-            graphs_checked += 1
+    return graphs_checked
+
+
+def check_07_acyclic_representations() -> str:
+    """Over the same corpus: every representation assignment leaves the
+    one-class Fibonacci graph cycle-free, with at most two self-loops, always
+    on the values 1 and 144."""
+    graphs_checked = _acyclic_representations(30, 5)
     return f"{graphs_checked} representation graphs cycle-free, loops within {{1, 144}}"
 
 

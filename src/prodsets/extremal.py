@@ -13,21 +13,41 @@ MAX_UNIVERSE = 40
 MAX_SET_SIZE = 6
 
 
+def fib_core(universe_max: int) -> tuple[int, ...]:
+    """The active elements of {1..universe_max}, ascending: x is active when
+    x*y is a Fibonacci number for some y in {1..universe_max}.
+
+    Every factor pair of a Fibonacci value in B.B lies in the core, so those
+    values and their pairs depend only on the core part of B; the other
+    ``universe_max - len(core)`` elements are isolated vertices of every
+    representation graph.
+    """
+    fib_set = frozenset(fib_values_upto(universe_max * universe_max))
+    return tuple(x for x in range(1, universe_max + 1)
+                 if any(x * y in fib_set for y in range(1, universe_max + 1)))
+
+
 def fib_subsets(universe_max: int, max_size: int):
-    """Every nonempty subset of {1..universe_max} with at most max_size
-    elements, in depth-first order (so the subsets of each size come in
-    lexicographic order), each with the Fibonacci values of its product set.
+    """Every nonempty subset of the core of {1..universe_max} (see
+    ``fib_core``) with at most max_size elements, in depth-first order (so
+    the subsets of each size come in lexicographic order), each with the
+    Fibonacci values of its product set.
+
+    A core subset S of size j stands for the ``C(pad, k - j)`` sets B of each
+    size k that add k - j inactive elements to it, ``pad = universe_max -
+    len(fib_core(universe_max))``; they share its values and pairs.
 
     Yields ``(subset, pairs)``: ``subset`` is the ascending list of elements
-    and ``pairs`` maps each Fibonacci value v in B.B to its factor pairs
+    and ``pairs`` maps each Fibonacci value v in S.S to its factor pairs
     ``(a, b)``, a <= b, a*b = v, ascending by a.  Both are the walk's own
     state, updated in place as elements are added and removed: read them
     before the next step and copy what must outlive it.
     """
+    core = fib_core(universe_max)
     fib_set = frozenset(fib_values_upto(universe_max * universe_max))
-    # partners[x]: the (y, x*y) with y <= x and x*y a Fibonacci value
-    partners = [()] + [tuple((y, x * y) for y in range(1, x + 1) if x * y in fib_set)
-                       for x in range(1, universe_max + 1)]
+    # partners[i]: the (y, x*y) with y <= x = core[i] and x*y a Fibonacci value
+    partners = [tuple((y, x * y) for y in core[:i + 1] if x * y in fib_set)
+                for i, x in enumerate(core)]
     present = [False] * (universe_max + 1)
     subset: list[int] = []
     pairs: dict[int, list[tuple[int, int]]] = {}
@@ -35,12 +55,13 @@ def fib_subsets(universe_max: int, max_size: int):
 
     def walk(start, depth):
         deeper = depth < max_size
-        for x in range(start, universe_max + 1):
+        for i in range(start, len(core)):
+            x = core[i]
             subset.append(x)
             present[x] = True
             # x is the largest element, so (y, x) has the smallest first
             # element among the pairs of its value: it goes in front
-            for y, v in partners[x]:
+            for y, v in partners[i]:
                 if present[y]:
                     held = pairs.get(v)
                     if held is None:
@@ -49,8 +70,8 @@ def fib_subsets(universe_max: int, max_size: int):
                         held.insert(0, (y, x))
             yield state
             if deeper:
-                yield from walk(x + 1, depth + 1)
-            for y, v in partners[x]:
+                yield from walk(i + 1, depth + 1)
+            for y, v in partners[i]:
                 if present[y]:
                     held = pairs[v]
                     if len(held) == 1:
@@ -61,12 +82,17 @@ def fib_subsets(universe_max: int, max_size: int):
             subset.pop()
 
     if max_size >= 1:
-        yield from walk(1, 1)
+        yield from walk(0, 1)
 
 
 def max_fib_count(universe_max: int, set_size: int) -> tuple[int, BaseSet]:
     """Maximum number of Fibonacci values in B.B over all B of the given size
     inside {1..universe_max}, with the lexicographically first maximiser.
+
+    B's count is that of its core part S (see ``fib_core``).  For a fixed S,
+    the lexicographically first B pads S with the smallest inactive
+    elements, since swapping a padding element for a smaller unused one
+    gives a smaller tuple; so only core subsets are searched.
     """
     if universe_max < 1 or set_size < 1:
         raise ValueError("universe_max and set_size must be >= 1")
@@ -76,10 +102,18 @@ def max_fib_count(universe_max: int, set_size: int) -> tuple[int, BaseSet]:
             f"(MAX_UNIVERSE, MAX_SET_SIZE); got universe {universe_max}, size {set_size}")
     if set_size > universe_max:
         raise ValueError("set size exceeds universe size")
+    active = set(fib_core(universe_max))
+    inactive = [x for x in range(1, universe_max + 1) if x not in active]
     best_count, best_combo = -1, None
+    if len(inactive) >= set_size:
+        # a B with no active element: no Fibonacci value
+        best_count, best_combo = 0, tuple(inactive[:set_size])
     for subset, pairs in fib_subsets(universe_max, set_size):
-        if len(subset) == set_size and len(pairs) > best_count:
-            best_count, best_combo = len(pairs), tuple(subset)
+        fill = set_size - len(subset)
+        if fill <= len(inactive) and len(pairs) >= best_count:
+            combo = tuple(sorted(subset + inactive[:fill]))
+            if len(pairs) > best_count or combo < best_combo:
+                best_count, best_combo = len(pairs), combo
     return best_count, BaseSet(best_combo)
 
 

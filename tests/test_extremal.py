@@ -2,8 +2,15 @@ from itertools import combinations
 
 import pytest
 
+from prodsets import extremal
 from prodsets.arith import DeskScaleError
-from prodsets.extremal import fib_subsets, lucas_count_check, max_fib_count, sharp_example
+from prodsets.extremal import (
+    fib_core,
+    fib_subsets,
+    lucas_count_check,
+    max_fib_count,
+    sharp_example,
+)
 from prodsets.productset import BaseSet, build_product_set, sequence_members
 from prodsets.sequences import (
     FIBONACCI,
@@ -31,19 +38,36 @@ def brute_pair_map(combo, fib_values):
     return pairs
 
 
+def brute_core(n):
+    """The elements of {1..n} in some factor pair of a Fibonacci value of
+    {1..n}.{1..n}."""
+    pairs = brute_pair_map(range(1, n + 1), brute_fib_set(n * n))
+    return tuple(sorted({x for ps in pairs.values() for pair in ps for x in pair}))
+
+
+def test_fib_core_matches_definition():
+    for n in range(1, 41):
+        assert fib_core(n) == brute_core(n), n
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_fib_subsets_matches_brute_force(n):
     fib_values = brute_fib_set(n * n)
+    core = fib_core(n)
     for k in range(1, 5):
         walked = [(tuple(subset), {v: list(ps) for v, ps in pairs.items()})
                   for subset, pairs in fib_subsets(n, k)]
-        for size in range(1, k + 1):
-            combos = list(combinations(range(1, n + 1), size))
-            assert [subset for subset, _ in walked if len(subset) == size] == combos
-        assert len(walked) == sum(1 for size in range(1, k + 1)
-                                  for _ in combinations(range(1, n + 1), size))
+        # depth-first order is lexicographic order of the ascending tuples
+        assert [subset for subset, _ in walked] == sorted(
+            combo for size in range(1, k + 1) for combo in combinations(core, size))
         for subset, pairs in walked:
             assert pairs == brute_pair_map(subset, fib_values), subset
+    # the isolated-vertex lemma: inactive elements add no value and no pair
+    active = set(core)
+    for k in range(1, 5):
+        for combo in combinations(range(1, n + 1), k):
+            core_part = tuple(x for x in combo if x in active)
+            assert brute_pair_map(combo, fib_values) == brute_pair_map(core_part, fib_values)
 
 
 def test_fib_subsets_leaves_no_state_behind():
@@ -57,12 +81,31 @@ def test_fib_subsets_leaves_no_state_behind():
 
 
 def test_max_fib_count_matches_brute_force():
-    for n in range(1, 21):
+    # k up to 6 reaches (6, 6), whose maximiser holds an inactive element;
+    # the larger universes have lexicographic ties across core parts
+    for n in range(1, 31):
         fib_values = brute_fib_set(n * n)
-        for k in range(1, min(n, 4) + 1):
+        for k in range(1, min(n, 6 if n <= 12 else 4 if n <= 20 else 3) + 1):
             best_count, best_combo = -1, None
             for combo in combinations(range(1, n + 1), k):
                 count = len(brute_pair_map(combo, fib_values))
+                if count > best_count:
+                    best_count, best_combo = count, combo
+            assert max_fib_count(n, k) == (best_count, BaseSet(best_combo)), (n, k)
+
+
+@pytest.mark.parametrize("values", [(1, 2, 3), (6, 8), (4, 12, 18)])
+def test_max_fib_count_pads_with_smallest_inactive(values, monkeypatch):
+    # Within the guards a Fibonacci maximiser needs padding only at (6, 6);
+    # a sparse stand-in for the Fibonacci values leaves most of {1..n}
+    # inactive, so padding and lexicographic ties across core parts decide
+    monkeypatch.setattr(extremal, "fib_values_upto",
+                        lambda limit: [v for v in values if v <= limit])
+    for n in range(1, 11):
+        for k in range(1, min(n, 6) + 1):
+            best_count, best_combo = -1, None
+            for combo in combinations(range(1, n + 1), k):
+                count = len(brute_pair_map(combo, set(values)))
                 if count > best_count:
                     best_count, best_combo = count, combo
             assert max_fib_count(n, k) == (best_count, BaseSet(best_combo)), (n, k)

@@ -11,8 +11,10 @@ entries were recorded from the per-kind index paths (the 5m^2 +/- 4 test for
 Fibonacci, a growing table for Lucas numbers, a 500-term table per pair);
 they span fib, lucasV, pairs of positive and negative discriminant, the
 pairs (+-1, 0), fractional sets, both graph modes and cyclic sets with an
-edge dump.  Commands run in a scratch directory so the ``out`` path echoed
-in JSON is fixed.
+edge dump.  The ``selftest`` and ``fib-extremal`` entries were recorded from
+the walk over every subset of ``{1..N}``; at universe 6, size 6 the witness
+holds 6, which pairs with no element into a Fibonacci value.  Commands run
+in a scratch directory so the ``out`` path echoed in JSON is fixed.
 """
 
 import contextlib
@@ -98,6 +100,16 @@ CORPUS = [
     ("graph-cyclic-dump", ["graph", "--set", "1/2,2,4", "--seq", "fib", "--dump", "edges.csv"]),
     ("graph-cyclic-edges-after-cycle-dump", ["graph", "--set", "1/2,1,2,3,4,5,13,21", "--seq", "fib",
                                  "--dump", "edges.csv"]),
+    ("selftest", ["selftest"]),
+] + [
+    (f"fib-extremal-30-{size}-out", ["fib-extremal", "--universe", "30",
+                                     "--size", str(size), "--out", "f.json"])
+    for size in range(1, 6)
+] + [
+    ("fib-extremal-40-6", ["fib-extremal", "--universe", "40", "--size", "6"]),
+    ("fib-extremal-7-6", ["fib-extremal", "--universe", "7", "--size", "6"]),
+    ("fib-extremal-12-5", ["fib-extremal", "--universe", "12", "--size", "5"]),
+    ("fib-extremal-6-6", ["fib-extremal", "--universe", "6", "--size", "6"]),
 ]
 
 # sha256 of (stdout, --out file) per corpus entry, from the reference run
@@ -184,6 +196,26 @@ REFERENCE = {
         "313cdb6babea0e4b7a3ff5bf415b5ecc08d63dc24602eca2ebe0f8ab5eb65052"),
     "graph-cyclic-edges-after-cycle-dump": ("b9342799b6f7ab0856dbea71766dd1658615390392f80af7494637a36c522495",
         "b2e69da295b466dc7b60db0767427bd9eb193b63390ec676e04373b5d2bfe8b5"),
+    "selftest": ("93a2e58ead4df04a66253161945f05d13636a3f64c740cba65dc9ed1c8cee28d",
+        None),
+    "fib-extremal-30-1-out": ("26adbb025fce9011d3fcb6019d19590f7664ef534fa2ff060f3b5f20ebe74516",
+        "26adbb025fce9011d3fcb6019d19590f7664ef534fa2ff060f3b5f20ebe74516"),
+    "fib-extremal-30-2-out": ("c370a67efe68ee62da5cefde0d218125057fa657c8781f2a2f2c977e509471d3",
+        "c370a67efe68ee62da5cefde0d218125057fa657c8781f2a2f2c977e509471d3"),
+    "fib-extremal-30-3-out": ("a835b2ac485232d19637ae25f242ff0dbaff9f7b4059e723961f86162f23c9ac",
+        "a835b2ac485232d19637ae25f242ff0dbaff9f7b4059e723961f86162f23c9ac"),
+    "fib-extremal-30-4-out": ("7f680d5d669f104ab81fff20e3a66bab03cc2fa386997d1d4151a6fc32adf5a1",
+        "7f680d5d669f104ab81fff20e3a66bab03cc2fa386997d1d4151a6fc32adf5a1"),
+    "fib-extremal-30-5-out": ("b5ba62402a5934b94c49e0586d7c973c3eaf63d9c501a090925f5d71ca841199",
+        "b5ba62402a5934b94c49e0586d7c973c3eaf63d9c501a090925f5d71ca841199"),
+    "fib-extremal-40-6": ("ddbd8d57e2cc9a59fbe632026c7c95fa5580298d9ef8319509b389abb1c0a2d7",
+        None),
+    "fib-extremal-7-6": ("34a0232f40f02105643e60f9c1e16e494117cf4562912b0bbf939b3dffa7f9d5",
+        None),
+    "fib-extremal-12-5": ("bfc6d57fc6a71ffe6a69e987a905ae530baa09ff57dc75212a37689d2fd8cd5d",
+        None),
+    "fib-extremal-6-6": ("ba1b0da2403d795d3901d060dd2e6e59e6d088afb9c651e224de184299439076",
+        None),
 }
 
 
