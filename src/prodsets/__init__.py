@@ -32,7 +32,6 @@ from .polyseq import (
 from .productset import BaseSet, ProductSet, build_product_set, sequence_members
 from .sequences import (
     FIBONACCI,
-    FIBONACCI_SPEC,
     LUCAS_V,
     LucasSpec,
     fib,

@@ -94,7 +94,7 @@ def check_05_primitive_divisors() -> str:
     to 60, exactly {6} for the pair (3, 2) up to 20, pinned against a
     trial-division oracle."""
     absent_fib = [n for n in range(2, 61)
-                  if sequences.primitive_divisor(sequences.FIBONACCI_SPEC, n) is None]
+                  if sequences.primitive_divisor(sequences.FIBONACCI, n) is None]
     _require(absent_fib == [2, 6, 12], f"Fibonacci absent set {absent_fib}")
 
     mersenne = sequences.LucasSpec(3, 2)  # U_n = 2^n - 1
@@ -124,16 +124,16 @@ def check_06_lucas_term_bound() -> str:
                  f"{report.count} Lucas numbers in B.B for |B| = {size}")
 
     for extra in range(2, 7):
-        elems = [1] + [sequences.lucas_u(sequences.FIBONACCI_SPEC, 30 + j)
+        elems = [1] + [sequences.lucas_u(sequences.FIBONACCI, 30 + j)
                        for j in range(1, extra + 1)]
-        report = extremal.lucas_count_check(BaseSet(elems), sequences.FIBONACCI_SPEC)
+        report = extremal.lucas_count_check(BaseSet(elems), sequences.FIBONACCI)
         _require(report.high_index_count == extra,
                  f"expected {extra} high-index terms, saw {report.high_index_count}")
         _require(report.high_index_ok,
                  f"high-index count {report.high_index_count} exceeds "
                  f"{report.high_index_bound}")
 
-        lelems = [1] + [sequences.lucas_v(sequences.FIBONACCI_SPEC, 30 + j)
+        lelems = [1] + [sequences.lucas_v(sequences.FIBONACCI, 30 + j)
                         for j in range(1, extra + 1)]
         lreport = extremal.lucas_count_check(BaseSet(lelems), sequences.LUCAS_V)
         _require(lreport.high_index_count == extra and lreport.high_index_ok,
@@ -295,7 +295,7 @@ CHECKS = (
 )
 
 
-def run_all(report=print) -> bool:
+def run_all() -> bool:
     """Run every check, print one PASS/FAIL line each; True iff all passed.
 
     One ``name cpu_s wall_s`` line per check goes to stderr.
@@ -307,9 +307,9 @@ def run_all(report=print) -> bool:
             detail = check()
         except CheckFailure as exc:
             all_ok = False
-            report(f"FAIL {name}: {exc}")
+            print(f"FAIL {name}: {exc}")
         else:
-            report(f"PASS {name}: {detail}")
+            print(f"PASS {name}: {detail}")
         print(f"{name} {time.process_time() - cpu:.3f} {time.perf_counter() - wall:.3f}",
               file=sys.stderr)
     return all_ok

@@ -189,10 +189,6 @@ class Factorization:
         if product != self.subject:
             raise ValueError("factors do not multiply back to the subject")
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
 
 def _pollard_rho(n: int) -> int:
     """Nontrivial factor of an odd composite with no small prime factor.

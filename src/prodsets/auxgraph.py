@@ -3,7 +3,8 @@
 Each member value a of the product set gets exactly one edge for a chosen
 representation a = b1 * b2.  In ONE_CLASS mode the edge joins b1 and b2 on a
 single copy of B (squares become self-loops); in TWO_CLASS mode it joins b1
-in a left copy to b2 in a right copy, so self-loops cannot occur.
+in a left copy to b2 in a right copy, so self-loops cannot occur.  The
+vertices of the copies are the strings "L:b" and "R:b".
 """
 
 from __future__ import annotations
@@ -12,13 +13,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .productset import BaseSet, SequenceMember
+from .productset import SequenceMember
 
 ONE_CLASS = "one"
 TWO_CLASS = "two"
-
-LEFT = "L"
-RIGHT = "R"
 
 
 @dataclass(frozen=True)
@@ -46,8 +44,8 @@ class AuxGraph:
     @property
     def vertices(self) -> tuple:
         if self.mode == TWO_CLASS:
-            return tuple((LEFT, b) for b in self.base) + tuple(
-                (RIGHT, b) for b in self.base)
+            return tuple(f"L:{b}" for b in self.base) + tuple(
+                f"R:{b}" for b in self.base)
         return self.base
 
     @property
@@ -67,13 +65,10 @@ def _member_value_pairs(member):
 def build_aux_graph(base, members, mode: str) -> AuxGraph:
     """One edge per member value, choosing the smallest factor pair.
 
-    ``members`` is an iterable of SequenceMember or (value, pairs) entries;
-    a value with no factor pair is an error.
+    ``base`` is any iterable of base elements; ``members`` is an iterable
+    of SequenceMember or (value, pairs) entries; a value with no factor pair
+    is an error.
     """
-    if isinstance(base, BaseSet):
-        elements = base.elements
-    else:
-        elements = tuple(sorted(set(base)))
     edges = []
     for member in members:
         value, pairs = _member_value_pairs(member)
@@ -81,7 +76,7 @@ def build_aux_graph(base, members, mode: str) -> AuxGraph:
             raise ValueError(f"value {value} has no factor pair over the base set")
         b1, b2 = min(tuple(sorted(p)) for p in pairs)
         edges.append((b1, b2, value))
-    return AuxGraph(mode, elements, tuple(edges))
+    return AuxGraph(mode, tuple(sorted(set(base))), tuple(edges))
 
 
 def _edge_endpoints(graph: AuxGraph):
@@ -89,7 +84,7 @@ def _edge_endpoints(graph: AuxGraph):
     out = []
     for b1, b2, _ in graph.edges:
         if graph.mode == TWO_CLASS:
-            out.append(((LEFT, b1), (RIGHT, b2)))
+            out.append((f"L:{b1}", f"R:{b2}"))
         elif b1 != b2:
             out.append((b1, b2))
     return out

@@ -163,12 +163,9 @@ def content_d(f: PolynomialZ) -> int:
 # ---------------------------------------------------------------------------
 
 def _divisors(n: int) -> list[int]:
-    out = []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
+    out = [1]
+    for p, e in factorize(n).factors:
+        out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
 
 

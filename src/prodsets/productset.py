@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .sequences import SequenceKind, term_table
 
@@ -56,10 +56,9 @@ class ProductSet:
     Immutable once built: share freely.
     """
 
-    __slots__ = ("base", "_pairs")
+    __slots__ = ("_pairs",)
 
-    def __init__(self, base: BaseSet, pairs: dict):
-        self.base = base
+    def __init__(self, pairs: dict):
         self._pairs = pairs  # value -> tuple of (b1, b2) with b1 <= b2
 
     def __len__(self) -> int:
@@ -89,7 +88,7 @@ def build_product_set(base: BaseSet) -> ProductSet:
         for b in elems[i:]:
             collected.setdefault(_normalize(a * b), []).append((a, b))
     frozen = {v: tuple(sorted(ps)) for v, ps in collected.items()}
-    return ProductSet(base, frozen)
+    return ProductSet(frozen)
 
 
 @dataclass(frozen=True)
@@ -101,25 +100,17 @@ class SequenceMember:
     pairs: tuple[tuple[Exact, Exact], ...]
 
 
-def _as_int(value) -> Optional[int]:
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return None
-
-
 def sequence_members(ps: ProductSet, kind: SequenceKind) -> list[SequenceMember]:
     """Product-set values that are terms of the kind, ascending by value.
 
-    Non-integer values never match; each member carries its smallest index
-    and its complete factor-pair provenance.  One term table up to the
-    largest integer value serves every lookup.
+    Non-integer values never match (values are normalised, so an integral
+    product is an int); each member carries its smallest index and its
+    complete factor-pair provenance.  One term table up to the largest
+    integer value serves every lookup.
     """
-    integers = [(value, as_int) for value in ps.values()
-                if (as_int := _as_int(value)) is not None]
+    integers = [value for value in ps.values() if isinstance(value, int)]
     if not integers:
         return []
-    table = term_table(kind, integers[-1][1])
-    return [SequenceMember(value, table[as_int], ps.pairs_for(value))
-            for value, as_int in integers if as_int in table]
+    table = term_table(kind, integers[-1])
+    return [SequenceMember(value, table[value], ps.pairs_for(value))
+            for value in integers if value in table]

@@ -13,10 +13,6 @@ from typing import Iterator, Optional, Union
 
 from .arith import factorize
 
-# Sequence markers for the two classical instances of the pair (1, -1).
-FIBONACCI = "fibonacci"  # U_n(1, -1): 1, 1, 2, 3, 5, 8, ...
-LUCAS_V = "lucas"        # V_n(1, -1): 1, 3, 4, 7, 11, 18, ...
-
 DEGENERATE_PAIRS = frozenset({(1, 1), (-1, 1), (0, 1), (0, -1)})
 
 
@@ -43,7 +39,8 @@ class LucasSpec:
         return self.p * self.p - 4 * self.q
 
 
-FIBONACCI_SPEC = LucasSpec(1, -1)
+FIBONACCI = LucasSpec(1, -1)  # U_n(1, -1): 1, 1, 2, 3, 5, 8, ...
+LUCAS_V = "lucas"             # marker for V_n(1, -1): 1, 3, 4, 7, 11, 18, ...
 
 SequenceKind = Union[LucasSpec, str]
 
@@ -62,10 +59,8 @@ def _recurrence(p: int, q: int, x0: int, x1: int) -> Iterator[int]:
 
 
 def _terms(kind: SequenceKind) -> Iterator[int]:
-    """The terms of a kind from index 1: FIBONACCI is U(1, -1), LUCAS_V is
-    V(1, -1) and a LucasSpec is U(P, Q)."""
-    if kind == FIBONACCI:
-        return _recurrence(1, -1, 0, 1)
+    """The terms of a kind from index 1: LUCAS_V is V(1, -1) and a LucasSpec
+    is U(P, Q), FIBONACCI among them."""
     if kind == LUCAS_V:
         return _recurrence(1, -1, 2, 1)
     if isinstance(kind, LucasSpec):
@@ -83,7 +78,7 @@ def term_table(kind: SequenceKind, limit: int) -> dict[int, int]:
     """Each term t of the kind with 1 <= t <= limit -> its smallest index,
     in the order of first appearance.
 
-    Exact for FIBONACCI, LUCAS_V and every pair of positive discriminant;
+    Exact for LUCAS_V and every pair of positive discriminant (FIBONACCI too);
     a pair of negative discriminant is scanned over its first 500 indices.
     """
     # Positive discriminant: |U_n| is nondecreasing, so the scan stops at

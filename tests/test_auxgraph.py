@@ -15,7 +15,6 @@ from prodsets.auxgraph import (
 from prodsets.productset import BaseSet, build_product_set, sequence_members
 from prodsets.sequences import (
     FIBONACCI,
-    FIBONACCI_SPEC,
     LucasSpec,
     fib_values_upto,
     is_fibonacci,
@@ -45,7 +44,7 @@ def test_build_singleton_self_loop():
 def test_build_two_class_single_edge():
     graph = build_aux_graph([2, 3], [(6, ((2, 3),))], TWO_CLASS)
     assert graph.edges == ((2, 3, 6),)
-    assert graph.vertices == (("L", 2), ("L", 3), ("R", 2), ("R", 3))
+    assert graph.vertices == ("L:2", "L:3", "R:2", "R:3")
     assert graph.self_loops == ()
 
 
@@ -79,8 +78,7 @@ def test_find_cycle_reports_triangle():
 def test_find_cycle_two_class_four_cycle():
     graph = AuxGraph(TWO_CLASS, (1, 2, 4, 6),
                      ((1, 4, 4), (2, 4, 8), (2, 6, 12), (1, 6, 6)))
-    cycle = find_cycle(graph)
-    assert cycle is not None and len(cycle) == 4
+    assert find_cycle(graph) == ["L:1", "R:4", "L:2", "R:6"]
 
 
 def test_self_loops_do_not_create_cycles():
@@ -123,8 +121,8 @@ def test_edge_bound_report_matches_a_search_oracle():
                 vertices = list(base)
                 links = [(b1, b2) for b1, b2, _ in edges if b1 != b2]
             else:
-                vertices = [(side, b) for side in "LR" for b in base]
-                links = [(("L", b1), ("R", b2)) for b1, b2, _ in edges]
+                vertices = [f"{side}:{b}" for side in "LR" for b in base]
+                links = [(f"L:{b1}", f"R:{b2}") for b1, b2, _ in edges]
             neighbours = {v: set() for v in vertices}
             for u, v in links:
                 neighbours[u].add(v)
@@ -184,7 +182,7 @@ def test_exhaustive_acyclicity_all_assignments_small_universe():
 
 
 def test_high_index_lucas_terms_give_acyclic_graphs():
-    for spec in (FIBONACCI_SPEC, LucasSpec(3, 2)):
+    for spec in (FIBONACCI, LucasSpec(3, 2)):
         elements = [1] + [lucas_u(spec, n) for n in range(31, 35)]
         base = BaseSet(elements)
         ps = build_product_set(base)

@@ -59,6 +59,7 @@ def test_lucas_bound_rejects_degenerate_pair(capsys):
 
 def test_lucas_bound_counts_high_fibonacci_terms_under_either_name(capsys):
     # F_600 is U_600(1, -1): the general pair must find it as fib does
+    assert cli._parse_seq("fib") == cli._parse_seq("lucasU:1,-1")
     f600 = fib(600)
     reports = []
     for seq in ("fib", "lucasU:1,-1"):
@@ -177,6 +178,14 @@ def test_witness_json_fields(capsys):
         assert field in payload
     assert payload["case"] == 1
     assert payload["B_lower_bound"] == (payload["k"] + 2) // 2
+
+
+def test_witness_on_a_cubic_with_a_61_bit_constant_term(capsys):
+    # the rational-root screen lists the divisors of 10^18 + 3
+    code, out, _ = run_cli(["witness", "--poly-factors", "1000000000000000003,0,0,1",
+                            "--r", "0", "--R", "5"], capsys)
+    assert code == 0
+    assert json.loads(out)["case"] == 1
 
 
 def test_witness_multiple_factors(capsys):

@@ -14,7 +14,6 @@ from prodsets.extremal import (
 from prodsets.productset import BaseSet, build_product_set, sequence_members
 from prodsets.sequences import (
     FIBONACCI,
-    FIBONACCI_SPEC,
     LUCAS_V,
     lucas_u,
     lucas_v,
@@ -181,16 +180,16 @@ def test_lucas_count_check_examples():
 
 
 def test_lucas_count_check_high_index_witness():
-    u31 = lucas_u(FIBONACCI_SPEC, 31)
-    u32 = lucas_u(FIBONACCI_SPEC, 32)
-    report = lucas_count_check(BaseSet([1, u31, u32]), FIBONACCI_SPEC)
+    u31 = lucas_u(FIBONACCI, 31)
+    u32 = lucas_u(FIBONACCI, 32)
+    report = lucas_count_check(BaseSet([1, u31, u32]), FIBONACCI)
     assert report.high_index_count == 2
     assert report.high_index_bound == 5
     assert report.high_index_ok
 
 
 def test_lucas_count_check_high_index_witness_lucas_numbers():
-    elems = [1] + [lucas_v(FIBONACCI_SPEC, n) for n in range(31, 34)]
+    elems = [1] + [lucas_v(FIBONACCI, n) for n in range(31, 34)]
     report = lucas_count_check(BaseSet(elems), LUCAS_V)
     assert report.high_index_count == 3
     assert report.high_index_ok

@@ -11,7 +11,9 @@ entries were recorded from the per-kind index paths (the 5m^2 +/- 4 test for
 Fibonacci, a growing table for Lucas numbers, a 500-term table per pair);
 they span fib, lucasV, pairs of positive and negative discriminant, the
 pairs (+-1, 0), fractional sets, both graph modes and cyclic sets with an
-edge dump.  The ``selftest`` and ``fib-extremal`` entries were recorded from
+edge dump.  The two ``lucasU:1,-1`` graph entries were recorded while
+``fib`` still had its own string marker; they equal the ``fib`` entries for
+the same set.  The ``selftest`` and ``fib-extremal`` entries were recorded from
 the walk over every subset of ``{1..N}``; at universe 6, size 6 the witness
 holds 6, which pairs with no element into a Fibonacci value.  Commands run
 in a scratch directory so the ``out`` path echoed in JSON is fixed.
@@ -89,6 +91,10 @@ CORPUS = [
     ("graph-fib-one", ["graph", "--set", "1,2,3,4,5,6,7,8,13", "--seq", "fib"]),
     ("graph-fib-two", ["graph", "--set", "1,2,3,4,5,6,7,8,13", "--seq", "fib",
                        "--mode", "two"]),
+    ("graph-lucasU-1-minus-1-one", ["graph", "--set", "1,2,3,4,5,6,7,8,13",
+                                    "--seq", "lucasU:1,-1"]),
+    ("graph-lucasU-1-minus-1-two", ["graph", "--set", "1,2,3,4,5,6,7,8,13",
+                                    "--seq", "lucasU:1,-1", "--mode", "two"]),
     ("graph-lucasV-two", ["graph", "--set", "1,3,4,7,11", "--seq", "lucasV", "--mode", "two"]),
     ("graph-disc-pos", ["graph", "--set", "1,3,7,21,31", "--seq", "lucasU:3,2"]),
     ("graph-disc-neg-two", ["graph", "--set", "1,5,7,23", "--seq", "lucasU:1,2",
@@ -180,6 +186,10 @@ REFERENCE = {
         None),
     "graph-fib-two": ("0d8ebe1d19989f755f56fb68e1846830c02a10201e16d0271ca20f185ecfe012",
         None),
+    "graph-lucasU-1-minus-1-one": ("e9eb04e5a047f808137fd30b36cff3f645e429ef77effcfa40db4009beb8c226",
+        None),
+    "graph-lucasU-1-minus-1-two": ("0d8ebe1d19989f755f56fb68e1846830c02a10201e16d0271ca20f185ecfe012",
+        None),
     "graph-lucasV-two": ("b62d51edff745460a88f10770d53730cae32f93542e565d589cf680fda71abc4",
         None),
     "graph-disc-pos": ("628424337a9498a3471aa06edfc3b26fd0de84daf1639b1c68633141f8ad29e9",
@@ -243,3 +253,8 @@ def test_report_bytes_match_reference(name, argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     stdout, written = run_report(argv)
     assert (digest(stdout), digest(written)) == REFERENCE[name]
+
+
+@pytest.mark.parametrize("mode", ["one", "two"])
+def test_fibonacci_pair_reports_match_fib(mode):
+    assert REFERENCE[f"graph-lucasU-1-minus-1-{mode}"] == REFERENCE[f"graph-fib-{mode}"]

@@ -1,9 +1,11 @@
-"""resultant and discriminant against sympy for every degree pair up to 4."""
+"""resultant and discriminant against sympy for every degree pair up to 4,
+and the cubic irreducibility screen against sympy on 61-bit constant terms."""
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from prodsets.polyseq import PolynomialZ, discriminant, resultant
+from prodsets.polyseq import PolynomialZ, check_irreducible, discriminant, resultant
 
 ORACLE = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 X = sympy.symbols("x")
@@ -46,3 +48,21 @@ def test_discriminant_matches_sympy(drawn):
     for d in range(1, MAX_DEGREE + 1):
         f = of_degree(drawn, d)
         assert discriminant(f) == sympy.discriminant(as_sympy(f)), f
+
+
+M61 = 2**61 - 1   # prime
+
+
+@pytest.mark.parametrize("f", [
+    PolynomialZ([M61, 0, 0, 1]),                 # x^3 + (2^61 - 1)
+    PolynomialZ([M61, 1, M61, 1]),               # (x + 2^61 - 1)(x^2 + 1)
+    PolynomialZ([10**18 + 3, 0, 0, 1]),          # x^3 + 10^18 + 3
+    PolynomialZ([M61, 3, M61, 3]),               # (3x + 2^61 - 1)(x^2 + 1)
+], ids=["x3+M61", "(x+M61)(x2+1)", "x3+1e18+3", "(3x+M61)(x2+1)"])
+def test_cubic_irreducibility_screen_matches_sympy(f):
+    try:
+        check_irreducible(f)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == as_sympy(f).is_irreducible

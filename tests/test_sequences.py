@@ -8,7 +8,6 @@ from prodsets.arith import is_perfect_square
 from prodsets.productset import BaseSet, build_product_set, sequence_members
 from prodsets.sequences import (
     FIBONACCI,
-    FIBONACCI_SPEC,
     LUCAS_V,
     LucasSpec,
     fib,
@@ -56,7 +55,7 @@ def test_lucas_spec_validation():
     with pytest.raises(ValueError):
         LucasSpec(2, 1)   # zero discriminant
     assert LucasSpec(3, 2).discriminant == 1
-    assert FIBONACCI_SPEC.discriminant == 5
+    assert FIBONACCI.discriminant == 5
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (-1, 1), (0, 1), (0, -1)])
@@ -71,16 +70,20 @@ def test_lucas_spec_rejects_degenerate_pairs(p, q):
 
 
 def test_lucas_u_examples():
-    assert lucas_u(FIBONACCI_SPEC, 10) == 55
-    assert lucas_v(FIBONACCI_SPEC, 4) == 7
+    assert lucas_u(FIBONACCI, 10) == 55
+    assert lucas_v(FIBONACCI, 4) == 7
     assert lucas_u(LucasSpec(3, 2), 5) == 31
     with pytest.raises(ValueError):
-        lucas_u(FIBONACCI_SPEC, 0)
+        lucas_u(FIBONACCI, 0)
 
 
 def test_lucas_u_is_fib_for_the_fibonacci_pair():
+    # one name for one sequence: F_n is U_n(1, -1)
+    assert FIBONACCI == LucasSpec(1, -1)
+    a, b = 0, 1
     for n in range(1, 60):
-        assert lucas_u(FIBONACCI_SPEC, n) == fib(n)
+        assert lucas_u(LucasSpec(1, -1), n) == fib(n) == b
+        a, b = b, a + b
 
 
 @pytest.mark.parametrize("spec", [LucasSpec(1, -1), LucasSpec(3, 2), LucasSpec(2, -1)])
@@ -153,11 +156,11 @@ def test_gcd_square_bound():
 
 
 def test_primitive_divisor_examples():
-    assert primitive_divisor(FIBONACCI_SPEC, 7) == 13
-    assert primitive_divisor(FIBONACCI_SPEC, 6) is None
-    assert primitive_divisor(FIBONACCI_SPEC, 12) is None
-    assert primitive_divisor(FIBONACCI_SPEC, 5) == 5
-    assert primitive_divisor(FIBONACCI_SPEC, 2) is None   # U_2 = 1
+    assert primitive_divisor(FIBONACCI, 7) == 13
+    assert primitive_divisor(FIBONACCI, 6) is None
+    assert primitive_divisor(FIBONACCI, 12) is None
+    assert primitive_divisor(FIBONACCI, 5) == 5
+    assert primitive_divisor(FIBONACCI, 2) is None   # U_2 = 1
 
 
 def test_primitive_divisor_against_direct_scan():
@@ -168,14 +171,14 @@ def test_primitive_divisor_against_direct_scan():
             if all(terms[k] % p != 0 for k in range(n - 1)):
                 expected = p
                 break
-        assert primitive_divisor(FIBONACCI_SPEC, n) == expected, n
+        assert primitive_divisor(FIBONACCI, n) == expected, n
 
 
 def test_primitive_divisor_rejects_zero_terms():
     with pytest.raises(ValueError):
         primitive_divisor(LucasSpec(1, 1), 3)   # U_3 = 0; the pair is rejected
     with pytest.raises(ValueError):
-        primitive_divisor(FIBONACCI_SPEC, 1)
+        primitive_divisor(FIBONACCI, 1)
 
 
 def test_is_lucas_number():
@@ -199,7 +202,6 @@ def test_term_index_markers_and_specs():
 
 
 def test_term_index_is_exact_past_index_500():
-    assert term_index(FIBONACCI_SPEC, fib(600)) == 600
     assert term_index(FIBONACCI, fib(600)) == 600
     assert term_index(LucasSpec(3, 2), 2**700 - 1) == 700
     assert term_index(LucasSpec(3, 2), 2**700) is None
@@ -207,7 +209,7 @@ def test_term_index_is_exact_past_index_500():
     assert term_index(LucasSpec(-3, 2), 2**701 - 1) == 701
     assert term_index(LucasSpec(-3, 2), 2**700 - 1) is None
     assert is_fibonacci(fib(600) + 1) is None
-    assert is_lucas_number(lucas_v(FIBONACCI_SPEC, 600)) == 600
+    assert is_lucas_number(lucas_v(FIBONACCI, 600)) == 600
 
 
 @pytest.mark.parametrize("p", [1, -1])
