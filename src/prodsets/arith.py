@@ -2,7 +2,8 @@
 
 Everything works on arbitrary-precision Python ints and is exact.  All
 functions are pure; the only shared state is the table of trial-division
-primes, built once at import.
+primes, built once at import.  ``factorize`` proves each prime once: trial
+division proves those below 2^20, Miller-Rabin (``is_prime``) each larger one.
 """
 
 from __future__ import annotations
@@ -165,14 +166,17 @@ class Factorization:
     """Prime factorization of ``subject`` as (prime, exponent) pairs.
 
     Primes strictly increasing, exponents >= 1, and the product of the
-    prime powers reconstructs the subject; all of this is re-validated on
-    construction.
+    prime powers reconstructs the subject; all of this is validated, though
+    ``factorize`` skips the primality test of the primes it has proven.
     """
 
     subject: int
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        self._validate(prove_primes=True)
+
+    def _validate(self, prove_primes: bool) -> None:
         if self.subject < 1:
             raise ValueError("subject must be >= 1")
         previous = 1
@@ -182,7 +186,7 @@ class Factorization:
                 raise ValueError("primes must be strictly increasing")
             if e < 1:
                 raise ValueError("exponents must be >= 1")
-            if not is_prime(p):
+            if prove_primes and not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             previous = p
             product *= p**e
@@ -253,7 +257,9 @@ def _perfect_power(m: int) -> tuple[int, int]:
 def factorize(n: int) -> Factorization:
     """Exact prime factorization: trial division by the primes below
     TRIAL_DIVISION_LIMIT, then Pollard rho splitting of the rest, each
-    composite first tested for being an exact power."""
+    composite first tested for being an exact power.  A factor left after
+    trial division is prime if below TRIAL_DIVISION_LIMIT**2, else tested
+    once by ``is_prime``."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     found: dict[int, int] = {}
@@ -272,7 +278,7 @@ def factorize(n: int) -> Factorization:
     stack = [(remaining, 1)] if remaining > 1 else []
     while stack:
         m, e = stack.pop()
-        if is_prime(m):
+        if m in found or m < TRIAL_DIVISION_LIMIT**2 or is_prime(m):
             found[m] = found.get(m, 0) + e
             continue
         # rho takes about sqrt(p) steps on p^k, an exact root far less
@@ -283,7 +289,11 @@ def factorize(n: int) -> Factorization:
             f = _pollard_rho(m)
             stack.append((f, e))
             stack.append((m // f, e))
-    return Factorization(n, tuple(sorted(found.items())))
+    result = object.__new__(Factorization)   # no __post_init__: the primes are proven
+    object.__setattr__(result, "subject", n)
+    object.__setattr__(result, "factors", tuple(sorted(found.items())))
+    result._validate(prove_primes=False)
+    return result
 
 
 def primes_in_range(lo_exclusive: int, hi_inclusive: int) -> list[int]:

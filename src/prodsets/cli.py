@@ -126,6 +126,8 @@ def _cmd_window(args) -> int:
     prime_filter = polyseq.ABOVE_R if args.filter == "above" else polyseq.MID_RANGE
     residue = None
     if args.residue == "auto":
+        # size guards on every term before the residue class factors anything
+        polyseq.window_terms([f], args.r, args.R, divisor=polyseq.content_d(f))
         modulus, a = polyseq.admissible_residue(f)
         residue = (a, modulus)
     stats = polyseq.window_stats(f, args.r, args.R, prime_filter, residue=residue)

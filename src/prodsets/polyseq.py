@@ -80,15 +80,6 @@ class PolynomialZ:
         return f"PolynomialZ({list(self.coeffs)!r})"
 
 
-def poly_product(factors: Sequence[PolynomialZ]) -> PolynomialZ:
-    if not factors:
-        raise ValueError("empty polynomial product")
-    out = factors[0]
-    for f in factors[1:]:
-        out = out * f
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Resultants, discriminant, content
 # ---------------------------------------------------------------------------
@@ -260,12 +251,13 @@ class WindowStats:
     log_smooth: float                    # ln of the R-smooth part of the product
 
 
-def _factor_window(f: PolynomialZ, r: int, window_length: int,
-                   residue: Optional[tuple[int, int]] = None, divisor: int = 1
-                   ) -> tuple[list[tuple[int, int]], dict[int, tuple[tuple[int, int], ...]]]:
-    """Validate the window {f(r+1), ..., f(r+R)} and factor it: the kept terms
-    (i, f(r+i) / divisor) in index order, only r+i = a (mod M) under a residue
-    filter (a, M), and the prime factors of each distinct term value."""
+def window_terms(factors: Sequence[PolynomialZ], r: int, window_length: int,
+                 residue: Optional[tuple[int, int]] = None, divisor: int = 1
+                 ) -> list[tuple[int, int]]:
+    """Check the window {f(r+1), ..., f(r+R)} of the product f of the factors
+    against the size guards, factoring nothing: the kept terms
+    (i, f(r+i) / divisor) in index order, only r+i = a (mod M) under a
+    residue filter (a, M)."""
     if window_length < 1:
         raise ValueError("window length must be >= 1")
     if r < 0:
@@ -281,11 +273,7 @@ def _factor_window(f: PolynomialZ, r: int, window_length: int,
         x = r + i
         if (x - a) % modulus:
             continue
-        value = f(x)
-        if value <= 0:
-            raise ValueError(
-                f"window term f({x}) = {value} is not positive; shift the window first")
-        value, rem = divmod(value, divisor)
+        value, rem = divmod(math.prod(g(x) for g in factors), divisor)
         if rem:
             raise ArithmeticError("content does not divide a window term")
         if value.bit_length() > MAX_TERM_BITS:
@@ -293,8 +281,30 @@ def _factor_window(f: PolynomialZ, r: int, window_length: int,
                 f"window terms capped at {MAX_TERM_BITS} bits (MAX_TERM_BITS); "
                 f"the term at x = {x} has {value.bit_length()} bits")
         terms.append((i, value))
-    factored = {value: factorize(value).factors for value in sorted({v for _, v in terms})}
-    return terms, factored
+    return terms
+
+
+def _factor_window(factors: Sequence[PolynomialZ], r: int, terms: list[tuple[int, int]],
+                   divisor: int = 1) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The prime factors of each distinct term value f(r+i) / divisor, in
+    ascending order: each factor value |g(r+i)|, less its share of the
+    divisor, is factored on its own and the exponents are merged.  The least
+    value comes first, so a term that is not positive raises before any
+    factoring."""
+    factored = {}
+    for value, i in sorted({value: i for i, value in terms}.items()):
+        if value <= 0:
+            raise ValueError(f"window term f({r + i}) = {value * divisor} is not "
+                             f"positive; shift the window first")
+        exponents, rest = {}, divisor
+        for g in factors:
+            part = g(r + i)
+            share = math.gcd(part, rest)
+            rest //= share
+            for p, e in factorize(abs(part) // share).factors:
+                exponents[p] = exponents.get(p, 0) + e
+        factored[value] = tuple(sorted(exponents.items()))
+    return factored
 
 
 def window_stats(f: PolynomialZ, r: int, window_length: int, prime_filter: str,
@@ -310,7 +320,8 @@ def window_stats(f: PolynomialZ, r: int, window_length: int, prime_filter: str,
         raise ValueError(f"unknown prime filter: {prime_filter!r}")
     R = window_length
     divisor = 1 if residue is None else content_d(f)
-    terms, factored = _factor_window(f, r, R, residue, divisor)
+    terms = window_terms([f], r, R, residue, divisor)
+    factored = _factor_window([f], r, terms, divisor)
 
     records = []
     above = mid = 0
@@ -391,13 +402,13 @@ def window_witness(factors: Sequence[PolynomialZ], r: int, window_length: int,
     """
     if not factors:
         raise ValueError("need at least one irreducible factor")
-    for f in factors:
-        check_irreducible(f)
-    poly = poly_product(list(factors))
-    if poly.leading <= 0:
+    if math.prod(f.leading for f in factors) <= 0:
         raise ValueError("the product must have a positive leading coefficient")
     R = window_length
-    _, factored = _factor_window(poly, r, R)
+    terms = window_terms(factors, r, R)   # size guards before any factoring
+    for f in factors:
+        check_irreducible(f)
+    factored = _factor_window(factors, r, terms)
     if any(f.degree >= 2 for f in factors):
         case = 1
     elif _beyond_power(r, R, gamma):

@@ -220,3 +220,49 @@ def test_crt_rejects_bad_input():
         crt_solve([(1, 4), (3, 6)])   # gcd(4, 6) = 2
     with pytest.raises(ValueError):
         crt_solve([(5, 3)])           # residue out of range
+
+
+M61 = 2**61 - 1
+# 1048573 is the largest prime below 2^20 = TRIAL_DIVISION_LIMIT**2, and
+# 1031^2 the smallest square above it with no prime factor below 2^10
+PROVEN_ONCE_CORPUS = (
+    [1031 * 1033, 65537 * 1048583, (10**9 + 7) * (10**9 + 9), M61 * 65537,
+     1031**2, 1031**3, 65537**4, M61**2, 1031**2 * 65537, 1031**2 * 65537**3 * M61,
+     # rho splits this one so that 1048583 turns up in two branches
+     1048583**3 * (2**31 - 1)]
+    + [1048573 * k for k in (1, 2, 3, 1021, 1031, 1048573, 65537, M61)]
+)
+
+
+def oracle_factor_large(n):
+    # the corpus is built from these primes only
+    out = {}
+    for d in (2, 3, 1021, 1031, 1033, 65537, 1048573, 1048583, 2**31 - 1, 10**9 + 7, 10**9 + 9,
+              M61):
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+    assert n == 1
+    return out
+
+
+@pytest.mark.parametrize("n", PROVEN_ONCE_CORPUS)
+def test_factorize_proves_each_prime_once(n, monkeypatch):
+    tested = []
+
+    def recording_is_prime(m):
+        tested.append(m)
+        return is_prime(m)
+
+    monkeypatch.setattr(arith, "is_prime", recording_is_prime)
+    assert dict(factorize(n).factors) == oracle_factor_large(n)
+    assert len(tested) == len(set(tested)), tested
+    assert not [m for m in tested if 2**10 < m < 2**20], tested
+
+
+def test_factorize_splits_the_first_square_above_the_trial_bound():
+    assert factorize(1031**2).factors == ((1031, 2),)
+    with pytest.raises(ValueError):
+        Factorization(16, ((4, 2),))
+    with pytest.raises(ValueError):
+        Factorization(1031**2, ((1031**2, 1),))   # a direct construction tests each prime

@@ -6,7 +6,10 @@ digests recorded from the reference implementation.  The ``window`` and
 ``witness`` entries were recorded from trial division to 10^6, then Pollard
 rho; they span degrees 1-4, both prime filters, the admissible residue
 filter, witness cases 1-3, and terms divisible by prime squares, cubes and
-fourth powers just above 2^10 and 2^16.  The ``graph`` and ``lucas-bound``
+fourth powers just above 2^10 and 2^16.  The three entries for linear
+pairs at ``x`` near ``2^33`` (cases 2 and 3) and for ``(x-5)(x-7)`` on
+``r = 0``, whose factor values are negative or -1, were recorded while each
+witness term was factored as one product value.  The ``graph`` and ``lucas-bound``
 entries were recorded from the per-kind index paths (the 5m^2 +/- 4 test for
 Fibonacci, a growing table for Lucas numbers, a 500-term table per pair);
 they span fib, lucasV, pairs of positive and negative discriminant, the
@@ -78,6 +81,12 @@ CORPUS = [
                                      "--r", "1000", "--R", "40"]),
     ("witness-squares-2^10", ["witness", "--poly-factors", "0,1;0,1", "--r", "1024",
                               "--R", "30", "--gamma", "1"]),
+    ("witness-linear-pair-2^33-case2", ["witness", "--poly-factors", "3,1;17,1",
+                                        "--r", "8589934592", "--R", "30", "--gamma", "2"]),
+    ("witness-linear-pair-2^33-case3", ["witness", "--poly-factors", "3,1;17,1",
+                                        "--r", "8589934592", "--R", "30", "--gamma", "7"]),
+    ("witness-negative-linear-factors", ["witness", "--poly-factors=-5,1;-7,1",
+                                         "--r", "0", "--R", "4"]),
     ("lucas-bound-fib", ["lucas-bound", "--set", "1,2,3,4,5,6,8,13,21", "--seq", "fib"]),
     ("lucas-bound-lucasV", ["lucas-bound", "--set", "1,2,3,4,7,9,11,18", "--seq", "lucasV"]),
     ("lucas-bound-disc-pos-high-index", ["lucas-bound", "--set",
@@ -167,6 +176,12 @@ REFERENCE = {
     "witness-case3-default-gamma": ("7968beb9c47b88023780a22a62131a5e7c8acf1ec4389d991b9cca9e05405262",
         None),
     "witness-squares-2^10": ("e006155f70f2e2acbabea297d7991817aab90b8fd16d50e8e1ec38468a81eab1",
+        None),
+    "witness-linear-pair-2^33-case2": ("0bca248d7da23117f168331f39d027770b3a82d182824c38786c29e6258b3003",
+        None),
+    "witness-linear-pair-2^33-case3": ("97e470c52358b7b08ac2167e960f8e70baddfc5271e1f3a1fb01a4b9f24ff783",
+        None),
+    "witness-negative-linear-factors": ("719f85723a9216f941d65d10493908b78af9c019d1344b8cedd482b473aa85a6",
         None),
     "lucas-bound-fib": ("7c7f96d285ce423c297ade919c575c33a184352aa22bcc258f2996796969445c",
         None),

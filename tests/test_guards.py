@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from prodsets import cli
 from prodsets.arith import DeskScaleError, primes_in_range
 from prodsets.extremal import max_fib_count
 from prodsets.polyseq import (
@@ -37,3 +38,21 @@ def test_guard_message_names_guard_value_and_limit(guard):
     assert "capped" in message and f"({guard})" in message, message
     for detail in details:
         assert detail in message, message
+
+
+# (2^61 - 1)(2^89 - 1): a 150-bit constant term, so every term of a window at
+# small r is over the cap; Pollard rho on it, or on a discriminant built from
+# it, runs past 10 s, so the guard must come first
+BIG = (2**61 - 1) * (2**89 - 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "--poly-factors", f"{BIG},0,0,1", "--r", "0", "--R", "5"],
+    ["window", "--poly", f"{BIG},0,1", "--r", "0", "--R", "5", "--filter", "above",
+     "--residue", "auto"],
+    ["window", "--poly", f"{BIG},0,1", "--r", "0", "--R", "5", "--filter", "above"],
+], ids=["witness-cubic", "window-residue", "window"])
+def test_term_size_guard_runs_before_any_constant_is_factored(argv, capsys):
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "(MAX_TERM_BITS)" in err and "x = 1 has 150 bits" in err, err

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from prodsets import arith
 from prodsets.arith import DeskScaleError, primes_in_range
 from prodsets.polyseq import (
     ABOVE_R,
@@ -14,7 +15,6 @@ from prodsets.polyseq import (
     check_irreducible,
     content_d,
     discriminant,
-    poly_product,
     resultant,
     window_stats,
     window_stats_csv,
@@ -77,7 +77,7 @@ def test_poly_basics():
     f = PolynomialZ([1, 0, 1])
     assert f(3) == 10
     assert f.derivative() == PolynomialZ([0, 2])
-    assert poly_product([PolynomialZ([0, 1]), PolynomialZ([1, 1])]) == PolynomialZ([0, 1, 1])
+    assert PolynomialZ([0, 1]) * PolynomialZ([1, 1]) == PolynomialZ([0, 1, 1])
     assert f.degree == 2 and f.leading == 1
 
 
@@ -347,3 +347,19 @@ def test_window_witness_multiple_factors():
     assert report.case == 3
     for value in report.terms:
         assert any(p <= 20 < 2 * p for p in oracle_prime_factors(value))
+
+
+def test_linear_pair_witness_never_hands_rho_a_whole_term(monkeypatch):
+    # each term (x + 3)(x + 17) near 2^33 has 66 bits; its factor values 33
+    split = []
+
+    def recording_rho(n):
+        split.append(n)
+        return rho(n)
+
+    rho = arith._pollard_rho
+    monkeypatch.setattr(arith, "_pollard_rho", recording_rho)
+    report = window_witness([PolynomialZ([3, 1]), PolynomialZ([17, 1])], 2**33, 30)
+    assert report.case == 2 and report.k == 30
+    assert split, "no factor value needed rho"
+    assert max(n.bit_length() for n in split) <= 34, split

@@ -1,11 +1,26 @@
 """resultant and discriminant against sympy for every degree pair up to 4,
-and the cubic irreducibility screen against sympy on 61-bit constant terms."""
+the cubic irreducibility screen against sympy on 61-bit constant terms, and
+the per-factor factoring of witness windows against sympy and against
+factoring each term whole."""
+
+import math
+from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from prodsets.polyseq import PolynomialZ, check_irreducible, discriminant, resultant
+from prodsets import polyseq
+from prodsets.arith import factorize
+from prodsets.polyseq import (
+    PolynomialZ,
+    _factor_window,
+    check_irreducible,
+    discriminant,
+    resultant,
+    window_terms,
+    window_witness,
+)
 
 ORACLE = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 X = sympy.symbols("x")
@@ -66,3 +81,55 @@ def test_cubic_irreducibility_screen_matches_sympy(f):
     except ValueError:
         accepted = False
     assert accepted == as_sympy(f).is_irreducible
+
+
+# --- per-factor window factoring ---------------------------------------------
+
+LINEAR = st.tuples(st.integers(-9, 9), st.sampled_from([1, 2, 3, -1])).map(list)
+
+
+def non_square_discriminant(c):
+    disc = c[1] ** 2 - 4 * c[0] * c[2]
+    return disc < 0 or math.isqrt(disc) ** 2 != disc
+
+
+QUADRATIC = st.tuples(st.integers(-9, 9), st.integers(-6, 6),
+                      st.integers(1, 3)).filter(non_square_discriminant).map(list)
+# r near 0 gives factor values that are negative or +-1; r near 2^33 gives
+# linear-pair terms of about 66 bits
+WINDOW = st.tuples(st.one_of(st.integers(0, 12), st.integers(2**33 - 40, 2**33)),
+                   st.integers(1, 8))
+
+
+def whole_product_factors(factors, r, terms, divisor=1):
+    return {value: factorize(value).factors for value in sorted({v for _, v in terms})}
+
+
+@ORACLE
+@given(st.lists(st.one_of(LINEAR, QUADRATIC), min_size=1, max_size=3), st.booleans(),
+       WINDOW, st.sampled_from([2, Fraction(1, 2), 40]))
+@example([[-5, 1], [-7, 1]], False, (0, 4), 2)
+@example([[1, 1], [3, 1]], False, (2**33, 6), 2)
+@example([[1, 1], [3, 1]], False, (2**33, 6), 40)
+def test_per_factor_merge_matches_whole_product(drawn, repeat, window, gamma):
+    factors = [PolynomialZ(c) for c in drawn + drawn[:1] * repeat]
+    r, R = window
+    values = [math.prod(g(r + i) for g in factors) for i in range(1, R + 1)]
+    assume(all(v > 0 for v in values))
+    assume(max(values).bit_length() <= 68)   # whole 96-bit products take rho seconds
+    assume(math.prod(g.leading for g in factors) > 0)
+    terms = window_terms(factors, r, R)
+    merged = _factor_window(factors, r, terms)
+    assert list(merged) == sorted(set(values))
+    for value, found in merged.items():
+        assert dict(found) == sympy.factorint(value), (factors, value)
+    # a divisor taken out of the product is taken out of the factor values
+    divisor = math.gcd(*values)
+    divided = _factor_window(factors, r, window_terms(factors, r, R, divisor=divisor),
+                             divisor)
+    for value, found in divided.items():
+        assert dict(found) == sympy.factorint(value), (factors, divisor, value)
+    report = window_witness(factors, r, R, gamma)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polyseq, "_factor_window", whole_product_factors)
+        assert report == window_witness(factors, r, R, gamma)
