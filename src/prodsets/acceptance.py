@@ -229,20 +229,14 @@ def check_09_large_prime_floor() -> str:
     at R = 1000 the count of terms with a prime factor > R is at least
     R / (3M); counts at R = 100 and 300 are recorded only."""
     f = polyseq.PolynomialZ([1, 0, 1])
-    modulus, residue = polyseq.admissible_residue(f)
-    _require((modulus, residue) == (4, 0),
-             f"admissible residue gave (M, a) = ({modulus}, {residue})")
-    recorded = []
-    for R in (100, 300):
-        stats = polyseq.window_stats(f, 0, R, polyseq.ABOVE_R,
-                                     residue=(residue, modulus))
-        recorded.append(f"R={R}: {stats.above_count}")
-    stats = polyseq.window_stats(f, 0, 1000, polyseq.ABOVE_R,
-                                 residue=(residue, modulus))
-    _require(stats.above_count * 3 * modulus >= 1000,
-             f"count {stats.above_count} is below 1000 / 12")
-    return (f"R=1000: {stats.above_count} terms with a prime factor > R "
-            f"(floor 84; recorded {', '.join(recorded)})")
+    counts = []
+    for R in (100, 300, 1000):
+        stats = polyseq.window_stats(f, 0, R, polyseq.ABOVE_R, admissible=True)
+        _require(stats.residue == (0, 4), f"admissible residue gave (a, M) = {stats.residue}")
+        counts.append(stats.above_count)
+    _require(counts[2] * 3 * 4 >= 1000, f"count {counts[2]} is below 1000 / 12")
+    return (f"R=1000: {counts[2]} terms with a prime factor > R "
+            f"(floor 84; recorded R=100: {counts[0]}, R=300: {counts[1]})")
 
 
 def check_10_mid_prime_floor() -> str:

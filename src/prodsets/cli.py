@@ -122,27 +122,13 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_window(args) -> int:
-    f = _parse_poly(args.poly)
-    prime_filter = polyseq.ABOVE_R if args.filter == "above" else polyseq.MID_RANGE
-    residue = None
-    if args.residue == "auto":
-        # size guards on every term before the residue class factors anything
-        polyseq.window_terms([f], args.r, args.R, divisor=polyseq.content_d(f))
-        modulus, a = polyseq.admissible_residue(f)
-        residue = (a, modulus)
-    stats = polyseq.window_stats(f, args.r, args.R, prime_filter, residue=residue)
+    stats = polyseq.window_stats(_parse_poly(args.poly), args.r, args.R, args.filter,
+                                 admissible=args.residue == "auto")
     csv_text = polyseq.window_stats_csv(stats)
     if args.out:
         _write_atomic(args.out, csv_text)
-        _print_json({
-            "terms": len(stats.records),
-            "above_count": stats.above_count,
-            "mid_count": stats.mid_count,
-            "log_smooth": stats.log_smooth,
-            "content": stats.content,
-            "residue": None if stats.residue is None else list(stats.residue),
-            "out": args.out,
-        })
+        summary = {k: v for k, v in vars(stats).items() if k != "records"}
+        _print_json(summary | {"terms": len(stats.records), "out": args.out})
     else:
         print(csv_text, end="")
     return 0
@@ -229,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated coefficients, constant term first")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--R", type=int, required=True)
-    p.add_argument("--filter", choices=("above", "mid"), required=True)
+    p.add_argument("--filter", choices=(polyseq.ABOVE_R, polyseq.MID_RANGE), required=True)
     p.add_argument("--residue", choices=("auto",), default=None,
                    help="filter to the admissible residue class and divide by the content")
     p.add_argument("--out", default=None, help="write the CSV here")

