@@ -29,7 +29,7 @@ from .polyseq import (
     window_stats,
     window_witness,
 )
-from .productset import BaseSet, ProductSet, build_product_set, sequence_members
+from .productset import BaseSet, build_product_set, sequence_members
 from .sequences import (
     FIBONACCI,
     LUCAS_V,

@@ -149,9 +149,9 @@ def _acyclic_representations(universe_max: int, max_size: int) -> int:
 
     B's graphs are those of its core part S (``extremal.fib_core``) plus
     isolated vertices, which change no cycle and no self-loop.  So each
-    distinct member map of the core walk is checked once, building every
-    assignment's graph, and each S of size j counts for the sets that pad it
-    with 0 .. max_size - j inactive elements.
+    distinct member map of the core walk is checked once, building the graph
+    of every assignment's edges (a, b, v), and each S of size j counts for
+    the sets that pad it with 0 .. max_size - j inactive elements.
     """
     pad = universe_max - len(extremal.fib_core(universe_max))
     padded = [sum(math.comb(pad, size - j) for size in range(j, max_size + 1))
@@ -170,11 +170,11 @@ def _acyclic_representations(universe_max: int, max_size: int) -> int:
         square_values = {v for v, ps in items if any(b1 == b2 for b1, b2 in ps)}
         _require(square_values <= {1, 144},
                  "B = %s: square member values %s", combo, square_values)
-        choice_sets = [[(v, (pair,)) for pair in pairs] for v, pairs in items]
-        for chosen in iter_product(*choice_sets):
-            graph = auxgraph.build_aux_graph(combo, chosen, auxgraph.ONE_CLASS)
+        choice_sets = [[(a, b, v) for a, b in pairs] for v, pairs in items]
+        for edges in iter_product(*choice_sets):
+            graph = auxgraph.AuxGraph(auxgraph.ONE_CLASS, combo, edges)
             _require(auxgraph.find_cycle(graph) is None,
-                     "B = %s: cycle under assignment %s", combo, chosen)
+                     "B = %s: cycle under assignment %s", combo, edges)
             loops = graph.self_loops
             _require(len(loops) <= 2, "B = %s: %d self-loops", combo, len(loops))
             _require({e[2] for e in loops} <= {1, 144},

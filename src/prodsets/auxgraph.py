@@ -13,8 +13,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .productset import SequenceMember
-
 ONE_CLASS = "one"
 TWO_CLASS = "two"
 
@@ -55,27 +53,18 @@ class AuxGraph:
         return tuple(e for e in self.edges if e[0] == e[1])
 
 
-def _member_value_pairs(member):
-    if isinstance(member, SequenceMember):
-        return member.value, member.pairs
-    value, pairs = member
-    return value, tuple(pairs)
-
-
 def build_aux_graph(base, members, mode: str) -> AuxGraph:
     """One edge per member value, choosing the smallest factor pair.
 
     ``base`` is any iterable of base elements; ``members`` is an iterable
-    of SequenceMember or (value, pairs) entries; a value with no factor pair
-    is an error.
+    of ``productset.SequenceMember``; a value with no factor pair is an
+    error.
     """
     edges = []
-    for member in members:
-        value, pairs = _member_value_pairs(member)
-        if not pairs:
-            raise ValueError(f"value {value} has no factor pair over the base set")
-        b1, b2 = min(tuple(sorted(p)) for p in pairs)
-        edges.append((b1, b2, value))
+    for m in members:
+        if not m.pairs:
+            raise ValueError(f"value {m.value} has no factor pair over the base set")
+        edges.append((*min(m.pairs), m.value))
     return AuxGraph(mode, tuple(sorted(set(base))), tuple(edges))
 
 
@@ -130,8 +119,7 @@ def find_cycle(graph: AuxGraph) -> Optional[list]:
 
 
 def _bfs_path(adjacency, start, goal):
-    if start == goal:
-        return [start]
+    # start != goal: _walk sees only non-loop edges
     queue = deque([start])
     came_from = {start: None}
     while queue:

@@ -29,10 +29,6 @@ MAX_TERM_BITS = 96
 MAX_POWER_BITS = 10**6   # size of r^q and R^p in the exact case-2/3 split
 
 
-class NoAdmissibleResidueError(ValueError):
-    """No residue class keeps the reduced polynomial coprime to the modulus."""
-
-
 @dataclass(frozen=True, init=False)
 class PolynomialZ:
     """Integer polynomial; coefficients constant-term first, never zero."""
@@ -203,15 +199,14 @@ def admissible_residue(f: PolynomialZ) -> tuple[int, int]:
     check_irreducible(f)
     d = content_d(f)
     modulus = abs(discriminant(f)) * d * d
-    if modulus == 1:
-        return 1, 0
+    # The scan always finds a residue, and one <= deg f: g = f/d has value
+    # content 1, so p does not divide g(x) for some x in 0..deg f; and
+    # whether p divides g(x) depends only on x mod p^e, since p^e | disc * d^2
+    # gives e >= 2 v_p(d) >= v_p(d) + 1 when p | d, and e >= 1 otherwise.
     congruences = []
     for p, e in factorize(modulus).factors:
         pe = p**e
-        residue = next((x for x in range(pe) if (f(x) // d) % p != 0), None)
-        if residue is None:
-            raise NoAdmissibleResidueError(
-                f"no residue modulo {pe} keeps the reduced values prime to {p}")
+        residue = next(x for x in range(pe) if (f(x) // d) % p != 0)
         congruences.append((residue, pe))
     return modulus, crt_solve(congruences)
 

@@ -1,4 +1,4 @@
-"""Product sets B.B over exact base sets, with factor-pair provenance."""
+"""Product sets B.B over exact base sets, as value -> factor-pairs dicts."""
 
 from __future__ import annotations
 
@@ -50,45 +50,21 @@ class BaseSet:
         return f"BaseSet({list(self.elements)!r})"
 
 
-class ProductSet:
-    """B.B = {ab : a, b in B}; every value keeps all its factor pairs.
-
-    Immutable once built: share freely.
+def build_product_set(base: BaseSet) -> dict:
+    """B.B = {ab : a, b in B}, squares included, as a plain dict: each value,
+    in ascending order, maps to all its factor pairs (b1, b2), b1 <= b2,
+    ascending.  An integral value is an int, and a Fraction with
+    denominator 1 hashes equal to its int, so lookups need no normalising.
     """
-
-    __slots__ = ("_pairs",)
-
-    def __init__(self, pairs: dict):
-        self._pairs = pairs  # value -> tuple of (b1, b2) with b1 <= b2
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __contains__(self, value) -> bool:
-        return _normalize(value) in self._pairs
-
-    def values(self) -> list[Exact]:
-        return sorted(self._pairs)
-
-    def pairs_for(self, value) -> tuple[tuple[Exact, Exact], ...]:
-        return self._pairs[_normalize(value)]
-
-    def items(self):
-        for value in self.values():
-            yield value, self._pairs[value]
-
-
-def build_product_set(base: BaseSet) -> ProductSet:
-    """All pairwise products of base elements, squares included."""
     if len(base) == 0:
         raise ValueError("cannot build the product set of an empty set")
     collected: dict[Exact, list] = {}
     elems = base.elements
+    # a runs up the sorted elements, so each value's pairs arrive ascending
     for i, a in enumerate(elems):
         for b in elems[i:]:
             collected.setdefault(_normalize(a * b), []).append((a, b))
-    frozen = {v: tuple(sorted(ps)) for v, ps in collected.items()}
-    return ProductSet(frozen)
+    return {v: tuple(collected[v]) for v in sorted(collected)}
 
 
 @dataclass(frozen=True)
@@ -100,17 +76,18 @@ class SequenceMember:
     pairs: tuple[tuple[Exact, Exact], ...]
 
 
-def sequence_members(ps: ProductSet, kind: SequenceKind) -> list[SequenceMember]:
-    """Product-set values that are terms of the kind, ascending by value.
+def sequence_members(products: dict, kind: SequenceKind) -> list[SequenceMember]:
+    """Values of ``build_product_set``'s dict that are terms of the kind,
+    ascending by value.
 
     Non-integer values never match (values are normalised, so an integral
     product is an int); each member carries its smallest index and its
     complete factor-pair provenance.  One term table up to the largest
     integer value serves every lookup.
     """
-    integers = [value for value in ps.values() if isinstance(value, int)]
+    integers = [value for value in products if isinstance(value, int)]
     if not integers:
         return []
     table = term_table(kind, integers[-1])
-    return [SequenceMember(value, table[value], ps.pairs_for(value))
+    return [SequenceMember(value, table[value], products[value])
             for value in integers if value in table]

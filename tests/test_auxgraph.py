@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product as iter_product
 
 import pytest
@@ -12,7 +13,7 @@ from prodsets.auxgraph import (
     edge_bound_report,
     find_cycle,
 )
-from prodsets.productset import BaseSet, build_product_set, sequence_members
+from prodsets.productset import BaseSet, SequenceMember, build_product_set, sequence_members
 from prodsets.sequences import (
     FIBONACCI,
     LucasSpec,
@@ -20,6 +21,11 @@ from prodsets.sequences import (
     is_fibonacci,
     lucas_u,
 )
+
+
+def member(value, *pairs):
+    """A SequenceMember whose index no graph reads."""
+    return SequenceMember(value, 0, pairs)
 
 
 def fib_graph(elements, mode):
@@ -36,32 +42,47 @@ def test_build_one_class_sharpness_witness():
 
 
 def test_build_singleton_self_loop():
-    graph = build_aux_graph([1], [(1, ((1, 1),))], ONE_CLASS)
+    graph = build_aux_graph([1], [member(1, (1, 1))], ONE_CLASS)
     assert graph.edges == ((1, 1, 1),)
     assert len(graph.self_loops) == 1
 
 
 def test_build_two_class_single_edge():
-    graph = build_aux_graph([2, 3], [(6, ((2, 3),))], TWO_CLASS)
+    graph = build_aux_graph([2, 3], [member(6, (2, 3))], TWO_CLASS)
     assert graph.edges == ((2, 3, 6),)
     assert graph.vertices == ("L:2", "L:3", "R:2", "R:3")
     assert graph.self_loops == ()
 
 
 def test_canonical_representation_uses_smallest_pair():
-    graph = build_aux_graph([2, 3, 4, 6], [(12, ((3, 4), (2, 6)))], ONE_CLASS)
+    graph = build_aux_graph([2, 3, 4, 6], [member(12, (3, 4), (2, 6))], ONE_CLASS)
     assert graph.edges == ((2, 6, 12),)
 
 
 def test_build_rejects_missing_pairs_and_duplicates():
     with pytest.raises(ValueError):
-        build_aux_graph([2, 3], [(6, ())], ONE_CLASS)
+        build_aux_graph([2, 3], [member(6)], ONE_CLASS)
     with pytest.raises(ValueError):
         AuxGraph(ONE_CLASS, (2, 3), ((2, 3, 6), (2, 3, 6)))
     with pytest.raises(ValueError):
         AuxGraph(ONE_CLASS, (2, 3), ((2, 5, 10),))    # endpoint outside base
     with pytest.raises(ValueError):
         AuxGraph(ONE_CLASS, (2, 3), ((2, 3, 7),))     # wrong product
+    with pytest.raises(ValueError):
+        AuxGraph(ONE_CLASS, (2, 3), ((3, 2, 6),))     # b1 > b2
+    with pytest.raises(ValueError):
+        AuxGraph("three", (2, 3), ((2, 3, 6),))       # unknown mode
+
+
+def test_rational_set_exceeds_the_integer_fibonacci_bound():
+    # the |B| bound is for integer sets: {1, 3, 2/3, 12} puts 1, 2, 3, 8 and
+    # 144 in B.B, and its one-class graph is still a forest plus two loops
+    base = BaseSet([1, 3, Fraction(2, 3), 12])
+    found = sequence_members(build_product_set(base), FIBONACCI)
+    assert [m.value for m in found] == [1, 2, 3, 8, 144]
+    graph = build_aux_graph(base, found, ONE_CLASS)
+    assert find_cycle(graph) is None
+    assert [e[2] for e in graph.self_loops] == [1, 144]
 
 
 def test_find_cycle_on_path_is_none():
@@ -172,10 +193,10 @@ def test_exhaustive_acyclicity_all_assignments_small_universe():
             if not members:
                 continue
             items = sorted(members.items())
-            choice_sets = [[(v, (pair,)) for pair in pairs] for v, pairs in items]
-            for chosen in iter_product(*choice_sets):
-                graph = build_aux_graph(combo, chosen, ONE_CLASS)
-                assert find_cycle(graph) is None, (combo, chosen)
+            choice_sets = [[(a, b, v) for a, b in pairs] for v, pairs in items]
+            for edges in iter_product(*choice_sets):
+                graph = AuxGraph(ONE_CLASS, combo, edges)
+                assert find_cycle(graph) is None, (combo, edges)
                 loops = graph.self_loops
                 assert len(loops) <= 2
                 assert {e[2] for e in loops} <= {1, 144}

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from prodsets import arith
-from prodsets.arith import DeskScaleError, primes_in_range
+from prodsets.arith import DeskScaleError, factorize, primes_in_range
 from prodsets.polyseq import (
     ABOVE_R,
     MID_RANGE,
@@ -165,11 +165,20 @@ def test_admissible_residue_examples():
         admissible_residue(PolynomialZ([-1, 0, 1]))      # reducible
 
 
-@pytest.mark.parametrize("coeffs", [[1, 0, 1], [1, 1, 1], [2, 0, 1], [3, 1, 1], [2, 1, 1]])
+@pytest.mark.parametrize("coeffs", [
+    [1, 0, 1], [1, 1, 1], [2, 0, 1], [3, 1, 1],
+    [2, 1, 1], [2, 0, 2], [4, 1, 1],                  # content d = 2
+    [1, 1, 2], [7, 3, 5], [1, 0, 3],                  # non-monic quadratics
+    [2, 0, 0, 1], [1, -1, 0, 1], [3, 0, 0, 2],        # cubics, one non-monic
+    [2, 0, 1, 1], [3, -1, 0, 1],                      # cubics with d = 2, d = 3
+])
 def test_admissible_residue_full_period(coeffs):
     f = PolynomialZ(coeffs)
     modulus, a = admissible_residue(f)
     d = content_d(f)
+    # the residue scan per prime power never passes deg f
+    for p, e in factorize(modulus).factors:
+        assert a % p**e <= f.degree, (p, e)
     for t in range(min(modulus, 10**4)):
         x = a + t * modulus
         assert math.gcd(f(x) // d, modulus) == 1

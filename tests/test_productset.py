@@ -24,12 +24,12 @@ def test_base_set_rejects_nonpositive():
 
 def test_build_product_set_two_elements():
     ps = build_product_set(BaseSet([2, 3]))
-    assert dict(ps.items()) == {4: ((2, 2),), 6: ((2, 3),), 9: ((3, 3),)}
+    assert ps == {4: ((2, 2),), 6: ((2, 3),), 9: ((3, 3),)}
 
 
 def test_build_product_set_singleton():
     ps = build_product_set(BaseSet([1]))
-    assert dict(ps.items()) == {1: ((1, 1),)}
+    assert ps == {1: ((1, 1),)}
 
 
 def test_build_product_set_five_elements():
@@ -37,6 +37,19 @@ def test_build_product_set_five_elements():
     assert len(ps) == 15
     for value in (1, 2, 3, 5, 8, 15, 40):
         assert value in ps
+
+
+def test_build_product_set_mixed_keys_and_pairs_ascending():
+    # sequence_members reads the keys in order and a value's pairs as given
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    ps = build_product_set(BaseSet([2 * third, 3, half, 4, 6, 3 * half]))
+    assert list(ps) == sorted(ps)
+    assert all(isinstance(v, int) for v in ps if v.denominator == 1)
+    assert ps[Fraction(4, 2)] == ((Fraction(1, 2), 4), (Fraction(2, 3), 3))
+    assert ps[9] == ((Fraction(3, 2), 6), (3, 3))
+    for value, pairs in ps.items():
+        assert list(pairs) == sorted(pairs), value
+        assert all(b1 <= b2 for b1, b2 in pairs), value
 
 
 def test_build_product_set_rejects_empty():
@@ -52,7 +65,7 @@ def test_product_set_invariant_under_input_order():
         shuffled = elems[:]
         rng.shuffle(shuffled)
         other = build_product_set(BaseSet(shuffled))
-        assert dict(other.items()) == dict(reference.items())
+        assert list(other.items()) == list(reference.items())
 
 
 def test_provenance_multiplies_back():
@@ -85,15 +98,14 @@ def test_sequence_members_empty():
 
 def test_sequence_members_lucas():
     ps = build_product_set(BaseSet([1, 3, 4, 7]))
-    assert sorted(ps.values()) == [1, 3, 4, 7, 9, 12, 16, 21, 28, 49]
+    assert list(ps) == [1, 3, 4, 7, 9, 12, 16, 21, 28, 49]
     found = sequence_members(ps, LUCAS_V)
     assert [m.value for m in found] == [1, 3, 4, 7]
 
 
 def test_sequence_members_skips_non_integers():
     ps = build_product_set(BaseSet([Fraction(1, 2), 2, 3]))
-    values = ps.values()
-    assert Fraction(1, 4) in values and Fraction(3, 2) in values
+    assert Fraction(1, 4) in ps and Fraction(3, 2) in ps
     found = sequence_members(ps, FIBONACCI)
     assert [m.value for m in found] == [1]          # 1 = (1/2) * 2
     assert found[0].pairs == ((Fraction(1, 2), 2),)
@@ -102,7 +114,10 @@ def test_sequence_members_skips_non_integers():
 def test_fib_members_never_exceed_set_size_small_corpus():
     fib_set = frozenset(fib_values_upto(12 * 12))
     for size in range(1, 4):
+        best = 0
         for combo in combinations(range(1, 13), size):
             ps = build_product_set(BaseSet(combo))
-            count = sum(1 for v in ps.values() if v in fib_set)
+            count = sum(1 for v in ps if v in fib_set)
             assert count <= size, combo
+            best = max(best, count)
+        assert best == size      # the bound is reached, so the count is live

@@ -267,7 +267,7 @@ def test_sequence_members_match_brute_force_for_small_pairs():
             elems.add(Fraction(rng.choice(terms), rng.randint(2, 5)))
             ps = build_product_set(BaseSet(elems))
             found = sequence_members(ps, spec)
-            expected = [(v, oracle[v]) for v in ps.values()
+            expected = [(v, oracle[v]) for v in ps
                         if isinstance(v, int) and v in oracle]
             assert [(m.value, m.index) for m in found] == expected, (spec, elems)
-            assert all(m.pairs == ps.pairs_for(m.value) for m in found)
+            assert all(m.pairs == ps[m.value] for m in found)
