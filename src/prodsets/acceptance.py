@@ -200,15 +200,23 @@ def check_08_cover_bound() -> str:
         b_count = rng.randint(1, 50)
         min_a = -(-b_count // bound)
         a_count = rng.randint(min_a, min_a + 10)
-        capacity = dict.fromkeys(range(a_count), bound)
+        capacity = [bound] * a_count
+        # open_a stays the ascending list of a-vertices with capacity left,
+        # so rng.choice draws the a it would draw from that list rebuilt per
+        # b; sample(k=0) draws no random bits, so skipping it keeps the stream
+        open_a = list(range(a_count))
         neighbours = {}
         for b in range(b_count):
-            choices = [a for a, c in capacity.items() if c > 0]
-            a = rng.choice(choices)
+            a = rng.choice(open_a)
             capacity[a] -= 1
+            if not capacity[a]:
+                open_a.remove(a)
             neighbours[b] = {a}
         for b in range(b_count):
-            for a in rng.sample(range(a_count), k=min(rng.randint(0, 2), a_count)):
+            k = min(rng.randint(0, 2), a_count)
+            if not k:
+                continue
+            for a in rng.sample(range(a_count), k=k):
                 if capacity[a] > 0 and a not in neighbours[b]:
                     capacity[a] -= 1
                     neighbours[b].add(a)

@@ -12,6 +12,10 @@ Exact = Union[int, Fraction]
 
 
 def _normalize(value) -> Exact:
+    if type(value) is int:
+        # every product of an integer set lands here, ahead of the
+        # isinstance test against Fraction, which goes through ABCMeta
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise TypeError(f"not an exact number: {value!r}")
     if isinstance(value, Fraction) and value.denominator == 1:

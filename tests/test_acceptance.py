@@ -4,11 +4,13 @@ Each test prints one PASS line with the check's summary; `prodsets selftest`
 runs the same checks from the command line.
 """
 
+import dataclasses
+import hashlib
 from itertools import combinations, product
 
 import pytest
 
-from prodsets import acceptance, auxgraph
+from prodsets import acceptance, auxgraph, coverlemma, extremal
 from prodsets.sequences import fib_values_upto
 
 
@@ -25,6 +27,61 @@ def test_acyclic_check_reports_a_cycle(monkeypatch):
     with pytest.raises(acceptance.CheckFailure,
                        match=r"^B = \(1,\): cycle under assignment \(\(1, 1, 1\),\)$"):
         acceptance.check_07_acyclic_representations()
+
+
+def test_lucas_term_bound_reports_a_failed_count(monkeypatch):
+    real = extremal.lucas_count_check
+    monkeypatch.setattr(acceptance.extremal, "lucas_count_check",
+                        lambda base, kind: dataclasses.replace(real(base, kind), ok=False))
+    with pytest.raises(acceptance.CheckFailure,
+                       match=r"^0 Lucas numbers in B\.B for \|B\| = 2$"):
+        acceptance.check_06_lucas_term_bound()
+
+
+def test_cover_bound_reports_a_failed_cover(monkeypatch):
+    monkeypatch.setattr(acceptance.coverlemma, "verify_cover", lambda graph, seq: False)
+    with pytest.raises(acceptance.CheckFailure,
+                       match=r"^cover failed verification \(\|B\|=22, n=1\)$"):
+        acceptance.check_08_cover_bound()
+
+
+# selftest prints fixed text for checks 06 and 08, so only these digests see
+# a redrawn corpus or a changed outcome: sha256 over one repr per line
+LUCAS_CORPUS_SHA256 = "273d4ca98c638905c58ed35b48aea6d14eaae922236a6e3cb3e765d333e03c64"
+COVER_CORPUS_SHA256 = "56b8ee82de146f221f59f565660f680debbdfaebe04252c822d62aa7b8989d27"
+
+
+def _sha256_lines(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_lucas_term_bound_corpus_and_reports_are_pinned(monkeypatch):
+    seen = []
+    real = extremal.lucas_count_check
+
+    def recording(base, kind):
+        report = real(base, kind)
+        seen.append(repr((base, report)))
+        return report
+
+    monkeypatch.setattr(acceptance.extremal, "lucas_count_check", recording)
+    acceptance.check_06_lucas_term_bound()
+    assert len(seen) == 1010
+    assert _sha256_lines(seen) == LUCAS_CORPUS_SHA256
+
+
+def test_cover_bound_corpus_is_pinned(monkeypatch):
+    seen = []
+
+    class Recording(coverlemma.Bipartite):
+        def __init__(self, adjacency):
+            seen.append(repr(adjacency))
+            super().__init__(adjacency)
+
+    monkeypatch.setattr(acceptance.coverlemma, "Bipartite", Recording)
+    acceptance.check_08_cover_bound()
+    assert len(seen) == 500
+    assert _sha256_lines(seen) == COVER_CORPUS_SHA256
 
 
 def per_subset_acyclic(universe_max, max_size):

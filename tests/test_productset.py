@@ -22,6 +22,18 @@ def test_base_set_rejects_nonpositive():
         BaseSet([Fraction(-1, 2)])
 
 
+@pytest.mark.parametrize("bad", [True, 1.5, "2", None])
+def test_base_set_rejects_inexact_elements(bad):
+    with pytest.raises(TypeError):
+        BaseSet([1, bad])
+
+
+def test_base_set_turns_an_integral_fraction_into_an_int():
+    base = BaseSet([Fraction(6, 2)])
+    assert base.elements == (3,)
+    assert type(base.elements[0]) is int
+
+
 def test_build_product_set_two_elements():
     ps = build_product_set(BaseSet([2, 3]))
     assert ps == {4: ((2, 2),), 6: ((2, 3),), 9: ((3, 3),)}
@@ -35,6 +47,7 @@ def test_build_product_set_singleton():
 def test_build_product_set_five_elements():
     ps = build_product_set(BaseSet([1, 2, 3, 5, 8]))
     assert len(ps) == 15
+    assert all(type(v) is int for v in ps)
     for value in (1, 2, 3, 5, 8, 15, 40):
         assert value in ps
 
