@@ -2,8 +2,9 @@
 
 Everything works on arbitrary-precision Python ints and is exact.  All
 functions are pure; the only shared state is the table of trial-division
-primes, built once at import.  ``factorize`` proves each prime once: trial
-division proves those below 2^20, Miller-Rabin (``is_prime``) each larger one.
+primes and their product, built once at import.  ``factorize`` proves each
+prime once: trial division proves those below 2^20, Miller-Rabin
+(``is_prime``) each larger one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ class DeskScaleError(ValueError):
 
 
 # trial division below this, Pollard rho above: rho finds a prime p in about
-# sqrt(p) steps where trial division takes pi(p), so rho wins from about 10^4
+# sqrt(p) steps where trial division takes pi(p); a limit of 2^12 or 2^13
+# behind the gcd stage of ``factorize`` measured no faster than 2^10
 TRIAL_DIVISION_LIMIT = 2**10
 PRIME_RANGE_LIMIT = 10**8     # segmented-sieve guard for primes_in_range
 
@@ -37,6 +39,7 @@ def primes_upto(n: int) -> list[int]:
 
 
 _TRIAL_PRIMES = tuple(primes_upto(TRIAL_DIVISION_LIMIT))
+_PRIMORIAL = math.prod(_TRIAL_PRIMES)   # gcd(n, _PRIMORIAL): the trial primes dividing n
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +200,8 @@ class Factorization:
 def _pollard_rho(n: int) -> int:
     """Nontrivial factor of an odd composite with no small prime factor.
 
-    Brent's cycle-finding variant; the polynomial parameter is swept
+    Brent's cycle-finding variant, with q reduced once per two comparison
+    steps (the same residue at every gcd); the polynomial parameter is swept
     deterministically so concurrent and repeated calls agree.
     """
     for c in range(1, 100):
@@ -210,9 +214,14 @@ def _pollard_rho(n: int) -> int:
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(128, r - k)):
+                steps = min(128, r - k)
+                if steps & 1:
                     y = (y * y + c) % n
                     q = q * (x - y) % n
+                for _ in range(steps >> 1):   # two steps per reduction of q
+                    y1 = (y * y + c) % n
+                    y = (y1 * y1 + c) % n
+                    q = q * (x - y1) * (x - y) % n
                 g = math.gcd(q, n)
                 k += 128
             r *= 2
@@ -256,18 +265,20 @@ def _perfect_power(m: int) -> tuple[int, int]:
 
 def factorize(n: int) -> Factorization:
     """Exact prime factorization: trial division by the primes below
-    TRIAL_DIVISION_LIMIT, then Pollard rho splitting of the rest, each
-    composite first tested for being an exact power.  A factor left after
-    trial division is prime if below TRIAL_DIVISION_LIMIT**2, else tested
-    once by ``is_prime``."""
+    TRIAL_DIVISION_LIMIT that divide gcd(n, their product), then Pollard rho
+    splitting of the rest, each composite first tested for being an exact
+    power.  A factor left after trial division is prime if below
+    TRIAL_DIVISION_LIMIT**2, else tested once by ``is_prime``."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     found: dict[int, int] = {}
     remaining = n
+    small = math.gcd(n, _PRIMORIAL)
     for p in _TRIAL_PRIMES:
-        if p * p > remaining:
+        if small == 1 or p * p > remaining:
             break
-        if remaining % p == 0:
+        if small % p == 0:
+            small //= p
             e = 0
             while remaining % p == 0:
                 remaining //= p

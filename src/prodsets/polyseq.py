@@ -265,8 +265,10 @@ def _factor_window(factors: Sequence[PolynomialZ], r: int, terms: list[tuple[int
     ascending order: each factor value |g(r+i)|, less its share of the
     divisor, is factored on its own and the exponents are merged.  The least
     value comes first, so a term that is not positive raises before any
-    factoring."""
+    factoring.  A factor value that recurs in the window, as x+b at x does
+    as x'+a at x' = x+b-a, is factored once."""
     factored = {}
+    pieces: dict[int, tuple[tuple[int, int], ...]] = {}
     for value, i in sorted({value: i for i, value in terms}.items()):
         if value <= 0:
             raise ValueError(f"window term f({r + i}) = {value * divisor} is not "
@@ -276,7 +278,10 @@ def _factor_window(factors: Sequence[PolynomialZ], r: int, terms: list[tuple[int
             part = g(r + i)
             share = math.gcd(part, rest)
             rest //= share
-            for p, e in factorize(abs(part) // share).factors:
+            piece = abs(part) // share
+            if piece not in pieces:
+                pieces[piece] = factorize(piece).factors
+            for p, e in pieces[piece]:
                 exponents[p] = exponents.get(p, 0) + e
         factored[value] = tuple(sorted(exponents.items()))
     return factored

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -139,6 +140,45 @@ def test_factorize_reconstructs_subject():
 def test_factorize_splits_large_semiprime():
     p, q = 10**9 + 7, 10**9 + 9
     assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+
+def random_prime(rng, bits):
+    while True:
+        p = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if is_prime(p):
+            return p
+
+
+def rho_corpus(count=300, seed=20261018):
+    """Odd composites of 30-68 bits whose least prime p has 11-30 bits, so
+    that no prime below 2^10 divides them: p*q, or p*s*q for every third one
+    where three primes fit, with s and q primes above p."""
+    rng = random.Random(seed)
+    corpus = []
+    while len(corpus) < count:
+        low = rng.randint(11, 30)
+        primes = [random_prime(rng, low)]
+        room = 68 - low
+        if len(corpus) % 3 == 0 and room >= 2 * low:
+            middle = rng.randint(low, room - low)
+            primes.append(random_prime(rng, middle))
+            room -= middle
+        used = sum(p.bit_length() for p in primes)
+        primes.append(random_prime(rng, rng.randint(max(low, 30 - used), room)))
+        if min(primes[1:]) > primes[0]:
+            corpus.append(math.prod(primes))
+    return corpus
+
+
+# sha256 of repr([(n, _pollard_rho(n)) for n in rho_corpus()]), recorded while
+# rho reduced q once per comparison step
+RHO_CORPUS_DIGEST = "0cffbb7f7de93d85bb087c0cd145ad79df93ea64bd4801e24dd20b84260878f8"
+
+
+def test_pollard_rho_returns_the_recorded_factors():
+    pairs = [(n, arith._pollard_rho(n)) for n in rho_corpus()]
+    assert all(1 < f < n and n % f == 0 for n, f in pairs)
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == RHO_CORPUS_DIGEST
 
 
 def test_factorization_validates_invariants():

@@ -4,7 +4,9 @@ sympy's crt.
 Covers random integers, prime powers and prime-square multiples just above
 the trial-division cutover (and above 2^16, 10^6 and 2^31), exact powers of
 primes above 2^31 and 2^40 (split by the perfect-power test, not by rho), and
-Carmichael numbers, which fool the Fermat test for every coprime base.
+Carmichael numbers, which fool the Fermat test for every coprime base.  The
+gcd trial stage is checked at its edges: values with no trial prime, only
+trial primes, every trial prime, and primes on both sides of 2^10.
 """
 
 import math
@@ -16,11 +18,13 @@ from sympy.ntheory.modular import crt
 
 from prodsets.arith import (
     TRIAL_DIVISION_LIMIT,
+    _PRIMORIAL,
     _iroot,
     _perfect_power,
     crt_solve,
     factorize,
     is_prime,
+    primes_upto,
 )
 
 ORACLE = settings(max_examples=80, derandomize=True, deadline=None, database=None)
@@ -72,6 +76,25 @@ def test_factorize_prime_powers_above_each_cutover():
 def test_factorize_large_prime_powers(p, exponent):
     assert_matches_oracle(p**exponent)
     assert_matches_oracle(3 * 1031 * p**exponent)
+
+
+def test_primorial_is_the_product_of_the_trial_primes():
+    assert _PRIMORIAL == math.prod(primes_upto(TRIAL_DIVISION_LIMIT))
+
+
+# 1021 is the largest prime below 2^10, 1019 the one before, 1031 the least above
+@pytest.mark.parametrize("n", [1, 2, 1021, 1031, 2**10 * 1021, 1019 * 1021, 1021**3 * 1031,
+                               _PRIMORIAL, _PRIMORIAL**2, _PRIMORIAL * (2**61 - 1)])
+def test_factorize_gcd_trial_stage_edges(n):
+    assert_matches_oracle(n)
+
+
+@ORACLE
+@given(st.lists(st.tuples(st.sampled_from(list(sympy.primerange(2, 1100))),
+                          st.integers(min_value=1, max_value=3)), max_size=6),
+       st.one_of(st.just(1), st.integers(min_value=2, max_value=2**60)))
+def test_factorize_primes_around_the_trial_limit(prime_powers, cofactor):
+    assert_matches_oracle(math.prod(p**e for p, e in prime_powers) * cofactor)
 
 
 @ORACLE

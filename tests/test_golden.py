@@ -9,7 +9,11 @@ filter, witness cases 1-3, and terms divisible by prime squares, cubes and
 fourth powers just above 2^10 and 2^16.  The three entries for linear
 pairs at ``x`` near ``2^33`` (cases 2 and 3) and for ``(x-5)(x-7)`` on
 ``r = 0``, whose factor values are negative or -1, were recorded while each
-witness term was factored as one product value.  The ``graph`` and ``lucas-bound``
+witness term was factored as one product value.  The linear pair
+``(x+3)(x+17)`` at ``r = 10^9``, ``R = 1000``, whose factor values recur 14
+terms apart, and ``x^2+1`` on ``1..1100``, whose terms carry primes between
+1000 and 1100, were recorded while trial division tested every prime below
+2^10 in turn and each factor value was factored at every term.  The ``graph`` and ``lucas-bound``
 entries were recorded from the per-kind index paths (the 5m^2 +/- 4 test for
 Fibonacci, a growing table for Lucas numbers, a 500-term table per pair);
 they span fib, lucasV, pairs of positive and negative discriminant, the
@@ -87,6 +91,10 @@ CORPUS = [
                                         "--r", "8589934592", "--R", "30", "--gamma", "7"]),
     ("witness-negative-linear-factors", ["witness", "--poly-factors=-5,1;-7,1",
                                          "--r", "0", "--R", "4"]),
+    ("witness-linear-pair-overlap-R1000", ["witness", "--poly-factors", "3,1;17,1",
+                                           "--r", "1000000000", "--R", "1000"]),
+    ("deg2-primes-near-2^10-out", ["window", "--poly", "1,0,1", "--r", "0", "--R", "1100",
+                                   "--filter", "mid", "--out", "w.csv"]),
     ("lucas-bound-fib", ["lucas-bound", "--set", "1,2,3,4,5,6,8,13,21", "--seq", "fib"]),
     ("lucas-bound-lucasV", ["lucas-bound", "--set", "1,2,3,4,7,9,11,18", "--seq", "lucasV"]),
     ("lucas-bound-disc-pos-high-index", ["lucas-bound", "--set",
@@ -183,6 +191,10 @@ REFERENCE = {
         None),
     "witness-negative-linear-factors": ("719f85723a9216f941d65d10493908b78af9c019d1344b8cedd482b473aa85a6",
         None),
+    "witness-linear-pair-overlap-R1000": ("fdcfdc1a0bb00b27b4a7d7f41c1b6a2b8ba1c63fc2528dfcca30eb114ff04157",
+        None),
+    "deg2-primes-near-2^10-out": ("78578721a9ff8e6862a74668b0f065c717612e51cba774140e610239ddc8e422",
+        "804e0a9ee8a94f875158f7ea5c725dde9e31cff7cf5417a5f2911700bcd28cbb"),
     "lucas-bound-fib": ("7c7f96d285ce423c297ade919c575c33a184352aa22bcc258f2996796969445c",
         None),
     "lucas-bound-lucasV": ("4f40a1d9bcf411969b9976b26884416703057a1892a95c62a327dc9d39d59af7",

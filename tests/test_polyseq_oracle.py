@@ -1,7 +1,8 @@
 """resultant and discriminant against sympy for every degree pair up to 4,
 the cubic irreducibility screen against sympy on 61-bit constant terms, and
 the per-factor factoring of witness windows against sympy and against
-factoring each term whole."""
+factoring each term whole, and that a factor value recurring in a window is
+factored once."""
 
 import math
 from fractions import Fraction
@@ -133,3 +134,19 @@ def test_per_factor_merge_matches_whole_product(drawn, repeat, window, gamma):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(polyseq, "_factor_window", whole_product_factors)
         assert report == window_witness(factors, r, R, gamma)
+
+
+def test_each_factor_value_is_factored_once_per_window(monkeypatch):
+    # x+17 at x equals x+3 at x+14: 30 values of x+3 and 14 new ones of x+17
+    factors = [PolynomialZ([3, 1]), PolynomialZ([17, 1])]
+    pieces = []
+
+    def recording_factorize(n):
+        pieces.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(polyseq, "factorize", recording_factorize)
+    report = window_witness(factors, 1000, 30, 2)
+    assert len(pieces) == 44 == len(set(pieces))
+    monkeypatch.setattr(polyseq, "_factor_window", whole_product_factors)
+    assert report == window_witness(factors, 1000, 30, 2)
