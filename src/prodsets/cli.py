@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import acceptance, auxgraph, extremal, polyseq, sequences
 from .arith import DeskScaleError
 from .coverlemma import Bipartite, cover_sequence, verify_cover
-from .productset import BaseSet, build_product_set, sequence_members
+from .productset import BaseSet, sequence_members
 
 
 def _parse_fraction(token: str) -> Fraction:
@@ -107,8 +107,7 @@ def _cmd_lucas_bound(args) -> int:
 def _cmd_graph(args) -> int:
     base = _parse_set(args.set)
     kind = _parse_seq(args.seq)
-    ps = build_product_set(base)
-    members = sequence_members(ps, kind)
+    members = sequence_members(base, kind)
     mode = auxgraph.ONE_CLASS if args.mode == "one" else auxgraph.TWO_CLASS
     graph = auxgraph.build_aux_graph(base, members, mode)
     report = auxgraph.edge_bound_report(graph)

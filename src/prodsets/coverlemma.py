@@ -49,7 +49,7 @@ def _greedy_pass(b_order, adjacency):
     kept, covered = [], set()
     for b in b_order:
         neighbours = adjacency[b]
-        if any(a not in covered for a in neighbours):
+        if not covered.issuperset(neighbours):
             kept.append(b)
             covered.update(neighbours)
     return kept
@@ -66,16 +66,12 @@ def _solve(b_order, adjacency, bound):
 def verify_cover(graph: Bipartite, sequence: Sequence) -> bool:
     """True iff the sequence is nonempty, repeat-free, and every entry is
     adjacent to an a-vertex untouched by the earlier entries."""
-    if not sequence:
-        return False
-    if len(set(sequence)) != len(sequence):
+    if not sequence or len(set(sequence)) != len(sequence):
         return False
     covered: set = set()
     for b in sequence:
-        if b not in graph.adjacency:
-            return False
-        neighbours = graph.adjacency[b]
-        if all(a in covered for a in neighbours):
+        neighbours = graph.adjacency.get(b)
+        if neighbours is None or covered.issuperset(neighbours):
             return False
         covered.update(neighbours)
     return True

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import DeskScaleError
-from .productset import BaseSet, build_product_set, sequence_members
+from .productset import BaseSet, sequence_members
 from .sequences import SequenceKind, fib, fib_values_upto
 
 MAX_UNIVERSE = 40
@@ -52,10 +52,10 @@ def fib_subsets(universe_max: int, max_size: int):
     subset: list[int] = []
     pairs: dict[int, list[tuple[int, int]]] = {}
     state = (subset, pairs)
-
-    def walk(start, depth):
-        deeper = depth < max_size
-        for i in range(start, len(core)):
+    stack: list[int] = []  # core indices of subset's elements
+    i = 0  # the core index to try next as a new last element
+    while True:
+        if i < len(core) and len(stack) < max_size:
             x = core[i]
             subset.append(x)
             present[x] = True
@@ -63,26 +63,24 @@ def fib_subsets(universe_max: int, max_size: int):
             # element among the pairs of its value: it goes in front
             for y, v in partners[i]:
                 if present[y]:
-                    held = pairs.get(v)
-                    if held is None:
-                        pairs[v] = [(y, x)]
-                    else:
-                        held.insert(0, (y, x))
+                    pairs.setdefault(v, []).insert(0, (y, x))
+            stack.append(i)
             yield state
-            if deeper:
-                yield from walk(i + 1, depth + 1)
+            i += 1
+        elif stack:
+            # take the last element out again; its successor takes its place
+            i = stack.pop()
             for y, v in partners[i]:
                 if present[y]:
                     held = pairs[v]
-                    if len(held) == 1:
+                    del held[0]
+                    if not held:
                         del pairs[v]
-                    else:
-                        del held[0]
-            present[x] = False
+            present[core[i]] = False
             subset.pop()
-
-    if max_size >= 1:
-        yield from walk(0, 1)
+            i += 1
+        else:
+            return
 
 
 def max_fib_count(universe_max: int, set_size: int) -> tuple[int, BaseSet]:
@@ -142,8 +140,7 @@ class LucasBoundReport:
 
 
 def lucas_count_check(base: BaseSet, kind: SequenceKind) -> LucasBoundReport:
-    ps = build_product_set(base)
-    found = sequence_members(ps, kind)
+    found = sequence_members(base, kind)
     size = len(base)
     count = len(found)
     high = sum(1 for m in found if m.index >= 31)
@@ -155,5 +152,5 @@ def lucas_count_check(base: BaseSet, kind: SequenceKind) -> LucasBoundReport:
         high_index_count=high,
         high_index_bound=2 * size - 1,
         high_index_ok=high <= 2 * size - 1,
-        members=tuple((int(m.value), m.index) for m in found),
+        members=tuple((m.value, m.index) for m in found),
     )

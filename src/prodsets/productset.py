@@ -1,4 +1,4 @@
-"""Product sets B.B over exact base sets, as value -> factor-pairs dicts."""
+"""Product sets B.B over exact base sets, and the sequence terms in them."""
 
 from __future__ import annotations
 
@@ -75,23 +75,30 @@ def build_product_set(base: BaseSet) -> dict:
 class SequenceMember:
     """A product-set value recognised as a sequence term."""
 
-    value: Exact
+    value: int
     index: int
     pairs: tuple[tuple[Exact, Exact], ...]
 
 
-def sequence_members(products: dict, kind: SequenceKind) -> list[SequenceMember]:
-    """Values of ``build_product_set``'s dict that are terms of the kind,
-    ascending by value.
+def sequence_members(base: BaseSet, kind: SequenceKind) -> list[SequenceMember]:
+    """The values of B.B that are terms of the kind, ascending, each with its
+    smallest index and its factor pairs as ``build_product_set`` gives them.
 
-    Non-integer values never match (values are normalised, so an integral
-    product is an int); each member carries its smallest index and its
-    complete factor-pair provenance.  One term table up to the largest
-    integer value serves every lookup.
+    B.B itself is not built: one term table up to floor(max(B)^2), the
+    largest value of B.B, is looked up with every product ab, a <= b.  A
+    non-integral product is no key of it; an integral Fraction is equal to
+    its int.
     """
-    integers = [value for value in products if isinstance(value, int)]
-    if not integers:
-        return []
-    table = term_table(kind, integers[-1])
-    return [SequenceMember(value, table[value], products[value])
-            for value in integers if value in table]
+    elems = base.elements
+    if not elems:
+        raise ValueError("cannot search the product set of an empty set")
+    table = term_table(kind, int(elems[-1] * elems[-1]))  # int() floors a positive Fraction
+    found: dict[int, list] = {}
+    # a runs up the sorted elements, so each value's pairs arrive ascending
+    for i, a in enumerate(elems):
+        for b in elems[i:]:
+            value = a * b
+            if value in table:
+                found.setdefault(int(value), []).append((a, b))
+    return [SequenceMember(value, table[value], tuple(found[value]))
+            for value in sorted(found)]

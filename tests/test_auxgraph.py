@@ -13,7 +13,7 @@ from prodsets.auxgraph import (
     edge_bound_report,
     find_cycle,
 )
-from prodsets.productset import BaseSet, SequenceMember, build_product_set, sequence_members
+from prodsets.productset import BaseSet, SequenceMember, sequence_members
 from prodsets.sequences import (
     FIBONACCI,
     LucasSpec,
@@ -30,7 +30,7 @@ def member(value, *pairs):
 
 def fib_graph(elements, mode):
     base = BaseSet(elements)
-    found = sequence_members(build_product_set(base), FIBONACCI)
+    found = sequence_members(base, FIBONACCI)
     return build_aux_graph(base, found, mode)
 
 
@@ -78,7 +78,7 @@ def test_rational_set_exceeds_the_integer_fibonacci_bound():
     # the |B| bound is for integer sets: {1, 3, 2/3, 12} puts 1, 2, 3, 8 and
     # 144 in B.B, and its one-class graph is still a forest plus two loops
     base = BaseSet([1, 3, Fraction(2, 3), 12])
-    found = sequence_members(build_product_set(base), FIBONACCI)
+    found = sequence_members(base, FIBONACCI)
     assert [m.value for m in found] == [1, 2, 3, 8, 144]
     graph = build_aux_graph(base, found, ONE_CLASS)
     assert find_cycle(graph) is None
@@ -206,8 +206,7 @@ def test_high_index_lucas_terms_give_acyclic_graphs():
     for spec in (FIBONACCI, LucasSpec(3, 2)):
         elements = [1] + [lucas_u(spec, n) for n in range(31, 35)]
         base = BaseSet(elements)
-        ps = build_product_set(base)
-        found = sequence_members(ps, spec)
+        found = sequence_members(base, spec)
         high = [m for m in found if m.index >= 31]
         assert len(high) >= 4
         for mode in (ONE_CLASS, TWO_CLASS):

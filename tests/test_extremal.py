@@ -1,4 +1,5 @@
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, zip_longest
 
 import pytest
 
@@ -11,10 +12,11 @@ from prodsets.extremal import (
     max_fib_count,
     sharp_example,
 )
-from prodsets.productset import BaseSet, build_product_set, sequence_members
+from prodsets.productset import BaseSet, sequence_members
 from prodsets.sequences import (
     FIBONACCI,
     LUCAS_V,
+    fib_values_upto,
     lucas_u,
     lucas_v,
 )
@@ -79,6 +81,64 @@ def test_fib_subsets_leaves_no_state_behind():
     assert list(fib_subsets(5, 0)) == []
 
 
+def recursive_fib_subsets(universe_max, max_size):
+    """The core walk as recursive generators, one per depth: the reference
+    that fib_subsets' loop over an index stack must match step for step."""
+    core = fib_core(universe_max)
+    fib_set = frozenset(fib_values_upto(universe_max * universe_max))
+    partners = [tuple((y, x * y) for y in core[:i + 1] if x * y in fib_set)
+                for i, x in enumerate(core)]
+    present = [False] * (universe_max + 1)
+    subset = []
+    pairs = {}
+    state = (subset, pairs)
+
+    def walk(start, depth):
+        deeper = depth < max_size
+        for i in range(start, len(core)):
+            x = core[i]
+            subset.append(x)
+            present[x] = True
+            for y, v in partners[i]:
+                if present[y]:
+                    held = pairs.get(v)
+                    if held is None:
+                        pairs[v] = [(y, x)]
+                    else:
+                        held.insert(0, (y, x))
+            yield state
+            if deeper:
+                yield from walk(i + 1, depth + 1)
+            for y, v in partners[i]:
+                if present[y]:
+                    held = pairs[v]
+                    if len(held) == 1:
+                        del pairs[v]
+                    else:
+                        del held[0]
+            present[x] = False
+            subset.pop()
+
+    if max_size >= 1:
+        yield from walk(0, 1)
+
+
+def snapshots(walk):
+    # the state is updated in place, so copy it at each step, pair order kept
+    for subset, pairs in walk:
+        yield tuple(subset), tuple((v, tuple(ps)) for v, ps in pairs.items())
+
+
+@pytest.mark.parametrize("universe_max, max_size", [(1, 1), (13, 3), (30, 5), (40, 4)])
+def test_fib_subsets_walks_like_the_recursive_reference(universe_max, max_size):
+    steps = 0
+    for got, want in zip_longest(snapshots(fib_subsets(universe_max, max_size)),
+                                 snapshots(recursive_fib_subsets(universe_max, max_size))):
+        assert got == want, steps
+        steps += 1
+    assert steps >= len(fib_core(universe_max))
+
+
 def test_max_fib_count_matches_brute_force():
     # k up to 6 reaches (6, 6), whose maximiser holds an inactive element;
     # the larger universes have lexicographic ties across core parts
@@ -123,8 +183,7 @@ def test_max_fib_count_small():
 def test_max_fib_count_universe_20():
     count, witness = max_fib_count(20, 3)
     assert count == 3
-    ps = build_product_set(witness)
-    assert len(sequence_members(ps, FIBONACCI)) == 3
+    assert len(sequence_members(witness, FIBONACCI)) == 3
 
 
 def test_max_fib_count_matches_set_size_at_desk_scale():
@@ -166,7 +225,7 @@ def test_sharp_example_values():
 def test_sharp_example_achieves_k(k):
     base = sharp_example(k)
     assert len(base) == k
-    found = sequence_members(build_product_set(base), FIBONACCI)
+    found = sequence_members(base, FIBONACCI)
     assert len(found) == k
 
 
@@ -193,3 +252,11 @@ def test_lucas_count_check_high_index_witness_lucas_numbers():
     report = lucas_count_check(BaseSet(elems), LUCAS_V)
     assert report.high_index_count == 3
     assert report.high_index_ok
+
+
+def test_lucas_count_check_rejects_an_unknown_kind_without_integer_products():
+    # (1/3)(2/3) and the squares 1/9, 4/9 are not integers; the kind is
+    # still checked, as it is for a set whose product set holds integers
+    for base in (BaseSet([Fraction(1, 3), Fraction(2, 3)]), BaseSet([2])):
+        with pytest.raises(TypeError, match="unknown sequence kind"):
+            lucas_count_check(base, "bogus")

@@ -3,9 +3,41 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prodsets.productset import BaseSet, build_product_set, sequence_members
-from prodsets.sequences import FIBONACCI, LUCAS_V, fib_values_upto
+from prodsets.sequences import FIBONACCI, LUCAS_V, LucasSpec, fib_values_upto, term_index
+
+ORACLE = settings(max_examples=30, derandomize=True, deadline=None, database=None)
+
+# (1, -3) has a positive discriminant; (2, 3) and (1, 2) negative ones, whose
+# term table is a scan of the first 500 indices
+KINDS = [FIBONACCI, LUCAS_V, LucasSpec(2, 3), LucasSpec(1, -3), LucasSpec(1, 2)]
+
+
+def small_positive_terms(kind):
+    """The terms in [1, 10^4] among the first 40 of the kind, by recurrence."""
+    p, q, x0, x1 = (1, -1, 2, 1) if kind == LUCAS_V else (kind.p, kind.q, 0, 1)
+    terms = set()
+    for _ in range(40):
+        if 1 <= x1 <= 10**4:
+            terms.add(x1)
+        x0, x1 = x1, p * x1 - q * x0
+    return sorted(terms)
+
+
+def base_sets(kind, family):
+    """Integer sets, rational sets, or sets below 1; the first two draw 1 and
+    terms of the kind often, so that many products are terms too."""
+    if family == "below-one":
+        element = st.builds(lambda n, d: Fraction(n, n + d), st.integers(1, 20),
+                            st.integers(1, 20))
+        return st.lists(element, min_size=1, max_size=6)
+    element = st.one_of(st.integers(1, 60), st.just(1),
+                        st.sampled_from(small_positive_terms(kind)))
+    if family == "rational":
+        element = st.builds(Fraction, element, st.integers(1, 4))
+    return st.lists(element, min_size=1, max_size=8)
 
 
 def test_base_set_sorts_and_dedupes():
@@ -53,7 +85,7 @@ def test_build_product_set_five_elements():
 
 
 def test_build_product_set_mixed_keys_and_pairs_ascending():
-    # sequence_members reads the keys in order and a value's pairs as given
+    # keys ascend, and a value's pairs ascend as sequence_members gives them
     half, third = Fraction(1, 2), Fraction(1, 3)
     ps = build_product_set(BaseSet([2 * third, 3, half, 4, 6, 3 * half]))
     assert list(ps) == sorted(ps)
@@ -98,30 +130,52 @@ def test_pair_count_bound():
 
 
 def test_sequence_members_fibonacci_sharpness_witness():
-    ps = build_product_set(BaseSet([1, 2, 3, 5, 8]))
-    found = sequence_members(ps, FIBONACCI)
+    found = sequence_members(BaseSet([1, 2, 3, 5, 8]), FIBONACCI)
     assert [m.value for m in found] == [1, 2, 3, 5, 8]
     assert [m.index for m in found] == [1, 3, 4, 5, 6]
 
 
 def test_sequence_members_empty():
-    ps = build_product_set(BaseSet([2, 3]))
-    assert sequence_members(ps, FIBONACCI) == []
+    assert sequence_members(BaseSet([2, 3]), FIBONACCI) == []
 
 
 def test_sequence_members_lucas():
-    ps = build_product_set(BaseSet([1, 3, 4, 7]))
-    assert list(ps) == [1, 3, 4, 7, 9, 12, 16, 21, 28, 49]
-    found = sequence_members(ps, LUCAS_V)
+    base = BaseSet([1, 3, 4, 7])
+    assert list(build_product_set(base)) == [1, 3, 4, 7, 9, 12, 16, 21, 28, 49]
+    found = sequence_members(base, LUCAS_V)
     assert [m.value for m in found] == [1, 3, 4, 7]
 
 
 def test_sequence_members_skips_non_integers():
-    ps = build_product_set(BaseSet([Fraction(1, 2), 2, 3]))
+    base = BaseSet([Fraction(1, 2), 2, 3])
+    ps = build_product_set(base)
     assert Fraction(1, 4) in ps and Fraction(3, 2) in ps
-    found = sequence_members(ps, FIBONACCI)
+    found = sequence_members(base, FIBONACCI)
     assert [m.value for m in found] == [1]          # 1 = (1/2) * 2
     assert found[0].pairs == ((Fraction(1, 2), 2),)
+
+
+@pytest.mark.parametrize("family", ["integer", "rational", "below-one"])
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+@ORACLE
+@given(data=st.data())
+def test_sequence_members_match_the_product_set_oracle(kind, family, data):
+    base = BaseSet(data.draw(base_sets(kind, family)))
+    ps = build_product_set(base)
+    expected = []
+    for value, pairs in ps.items():
+        index = term_index(kind, value) if isinstance(value, int) else None
+        if index is not None:
+            expected.append((value, index, pairs))
+    found = sequence_members(base, kind)
+    assert [(m.value, m.index, m.pairs) for m in found] == expected
+    assert all(type(m.value) is int for m in found)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=str)
+def test_sequence_members_rejects_empty(kind):
+    with pytest.raises(ValueError):
+        sequence_members(BaseSet([]), kind)
 
 
 def test_fib_members_never_exceed_set_size_small_corpus():

@@ -265,8 +265,9 @@ def test_sequence_members_match_brute_force_for_small_pairs():
             elems = set(rng.sample(terms, min(len(terms), rng.randint(1, 5))))
             elems |= {rng.randint(1, 3000) for _ in range(rng.randint(1, 5))}
             elems.add(Fraction(rng.choice(terms), rng.randint(2, 5)))
-            ps = build_product_set(BaseSet(elems))
-            found = sequence_members(ps, spec)
+            base = BaseSet(elems)
+            ps = build_product_set(base)
+            found = sequence_members(base, spec)
             expected = [(v, oracle[v]) for v in ps
                         if isinstance(v, int) and v in oracle]
             assert [(m.value, m.index) for m in found] == expected, (spec, elems)
