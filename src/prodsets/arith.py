@@ -1,14 +1,18 @@
 """Exact integer arithmetic: primality, factorization, sieves, CRT.
 
 Everything works on arbitrary-precision Python ints and is exact.  All
-functions are pure; the only shared state is the table of trial-division
-primes and their product, built once at import.  ``factorize`` proves each
-prime once: trial division proves those below 2^20, Miller-Rabin
-(``is_prime``) each larger one.
+functions are pure; the only shared state is two constant prime tables: the
+trial-division primes and their product, built at import, and the product of
+the primes in (2^10, 2^16], built on the first ``factorize_batch`` call that
+needs it.  ``factorize`` proves each prime once: trial division proves those
+below 2^20, Miller-Rabin (``is_prime``) each larger one; ``factorize_batch``
+also proves those below 2^32 without a test.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -22,6 +26,9 @@ class DeskScaleError(ValueError):
 # sqrt(p) steps where trial division takes pi(p); a limit of 2^12 or 2^13
 # behind the gcd stage of ``factorize`` measured no faster than 2^10
 TRIAL_DIVISION_LIMIT = 2**10
+# factorize_batch strips the primes up to this with remainder trees over the
+# batch; the least composite with no prime factor up to it is 65537^2 > 2^32
+_MEDIUM_PRIME_LIMIT = 2**16
 PRIME_RANGE_LIMIT = 10**8     # segmented-sieve guard for primes_in_range
 
 
@@ -35,7 +42,7 @@ def primes_upto(n: int) -> list[int]:
         if sieve[i]:
             start = i * i
             sieve[start::i] = b"\x00" * ((n - start) // i + 1)
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return list(itertools.compress(range(n + 1), sieve))
 
 
 _TRIAL_PRIMES = tuple(primes_upto(TRIAL_DIVISION_LIMIT))
@@ -170,7 +177,8 @@ class Factorization:
 
     Primes strictly increasing, exponents >= 1, and the product of the
     prime powers reconstructs the subject; all of this is validated, though
-    ``factorize`` skips the primality test of the primes it has proven.
+    ``factorize`` and ``factorize_batch`` skip the primality test of the
+    primes they have proven.
     """
 
     subject: int
@@ -251,7 +259,8 @@ def _perfect_power(m: int) -> tuple[int, int]:
     """(r, k) with r^k = m and k a prime, or (m, 1) when m is no such power.
 
     m has no prime factor below TRIAL_DIVISION_LIMIT = 2^10, so a root r is
-    above 2^10 and only exponents k <= bit_length / 10 can occur.
+    above 2^10 and only exponents k <= bit_length / 10 can occur.  In
+    ``factorize_batch`` m has none up to 2^16 either; the bound still holds.
     """
     limit = m.bit_length() // 10
     for k in _TRIAL_PRIMES:
@@ -263,12 +272,10 @@ def _perfect_power(m: int) -> tuple[int, int]:
     return m, 1
 
 
-def factorize(n: int) -> Factorization:
-    """Exact prime factorization: trial division by the primes below
-    TRIAL_DIVISION_LIMIT that divide gcd(n, their product), then Pollard rho
-    splitting of the rest, each composite first tested for being an exact
-    power.  A factor left after trial division is prime if below
-    TRIAL_DIVISION_LIMIT**2, else tested once by ``is_prime``."""
+def _trial_stage(n: int) -> tuple[dict[int, int], int]:
+    """The primes below TRIAL_DIVISION_LIMIT that divide gcd(n, their
+    product), with their exponents, and what is left of n: 1, a prime, or a
+    product of primes above the limit."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     found: dict[int, int] = {}
@@ -284,12 +291,20 @@ def factorize(n: int) -> Factorization:
                 remaining //= p
                 e += 1
             found[p] = e
-    # remaining is now 1, prime, or a product of primes above the
-    # trial-division limit; the stack holds (factor, multiplicity)
-    stack = [(remaining, 1)] if remaining > 1 else []
+    return found, remaining
+
+
+def _split(n: int, found: dict[int, int], m: int, trial_limit: int) -> Factorization:
+    """The factorization of n, of which ``found`` holds the prime powers
+    stripped so far and m the rest: 1, a prime, or a product of primes above
+    trial_limit.  So a factor of m below trial_limit**2 is prime without a
+    test; a larger one is tested once by ``is_prime``, and a composite is
+    split by an exact-root test or by rho."""
+    prime_below = trial_limit**2
+    stack = [(m, 1)] if m > 1 else []   # (factor, multiplicity)
     while stack:
         m, e = stack.pop()
-        if m in found or m < TRIAL_DIVISION_LIMIT**2 or is_prime(m):
+        if m in found or m < prime_below or is_prime(m):
             found[m] = found.get(m, 0) + e
             continue
         # rho takes about sqrt(p) steps on p^k, an exact root far less
@@ -305,6 +320,88 @@ def factorize(n: int) -> Factorization:
     object.__setattr__(result, "factors", tuple(sorted(found.items())))
     result._validate(prove_primes=False)
     return result
+
+
+def factorize(n: int) -> Factorization:
+    """Exact prime factorization: trial division by the primes below
+    TRIAL_DIVISION_LIMIT that divide gcd(n, their product), then Pollard rho
+    splitting of the rest, each composite first tested for being an exact
+    power.  A factor left after trial division is prime if below
+    TRIAL_DIVISION_LIMIT**2, else tested once by ``is_prime``."""
+    return _split(n, *_trial_stage(n), TRIAL_DIVISION_LIMIT)
+
+
+def _product_tree(leaves: list[int]) -> list[list[int]]:
+    """The levels of the product tree over leaves: the leaves first, their
+    product last; node i of a level is the parent of nodes 2i and 2i+1."""
+    levels = [leaves]
+    while len(levels[-1]) > 1:
+        level = levels[-1]
+        levels.append([math.prod(level[i:i + 2]) for i in range(0, len(level), 2)])
+    return levels
+
+
+def _remainders(x: int, levels: list[list[int]]) -> list[int]:
+    """x modulo each leaf of a product tree, reduced from the root down."""
+    remainders = [x]
+    for level in reversed(levels):
+        remainders = [remainders[i >> 1] % m for i, m in enumerate(level)]
+    return remainders
+
+
+@functools.cache
+def _medium_primorial() -> int:
+    """The product of the 6,370 primes in (TRIAL_DIVISION_LIMIT,
+    _MEDIUM_PRIME_LIMIT], 92,608 bits; built on first use, not at import."""
+    return _product_tree(primes_upto(_MEDIUM_PRIME_LIMIT)[len(_TRIAL_PRIMES):])[-1][0]
+
+
+def _medium_primes(h: int) -> list[int]:
+    """The primes of h, a squarefree product of primes in (2^10, 2^16].  Two
+    of them multiply past 2^20, so a factor of h below 2^20 is one prime and
+    a larger one is split by rho, with no primality test."""
+    primes, stack = [], [h]
+    while stack:
+        m = stack.pop()
+        if m >= TRIAL_DIVISION_LIMIT**2:
+            f = _pollard_rho(m)
+            stack += (f, m // f)
+        elif m > 1:
+            primes.append(m)
+    return primes
+
+
+def factorize_batch(values: Iterable[int]) -> dict[int, Factorization]:
+    """``factorize`` of each distinct value, with one shared stage between
+    its trial division and its split stack.
+
+    A remainder tree reduces the product of the primes in (2^10, 2^16]
+    modulo every cofactor c >= 2^20 left by trial division at once
+    (Bernstein, "How to find smooth parts of integers", 2004); the gcd h of
+    that remainder and c is the product of the primes in (2^10, 2^16] that
+    divide c, and they are stripped with their exponents.  What is left has
+    no prime factor up to 2^16, so the split stack takes a factor below
+    2^32 < 65537^2 as prime without a test.
+    """
+    staged = {n: _trial_stage(n) for n in dict.fromkeys(values)}
+    large = [n for n, (_, rest) in staged.items() if rest >= TRIAL_DIVISION_LIMIT**2]
+    # a tree costs about the same per leaf from 64 leaves to 2048, and above
+    # that multiplies products far larger than the primorial
+    for start in range(0, len(large), 1024):
+        chunk = large[start:start + 1024]
+        cofactors = [staged[n][1] for n in chunk]
+        remainders = _remainders(_medium_primorial(), _product_tree(cofactors))
+        for n, c, r in zip(chunk, cofactors, remainders):
+            found = staged[n][0]
+            for p in _medium_primes(math.gcd(r, c)):
+                e = 0
+                while c % p == 0:
+                    c //= p
+                    e += 1
+                found[p] = e
+            staged[n] = found, c
+    return {n: _split(n, found, rest, _MEDIUM_PRIME_LIMIT)
+            for n, (found, rest) in staged.items()}
 
 
 def primes_in_range(lo_exclusive: int, hi_inclusive: int) -> list[int]:

@@ -17,6 +17,7 @@ from .arith import (
     DeskScaleError,
     crt_solve,
     factorize,
+    factorize_batch,
     is_perfect_square,
 )
 from .coverlemma import Bipartite, cover_sequence
@@ -263,28 +264,35 @@ def _factor_window(factors: Sequence[PolynomialZ], r: int, terms: list[tuple[int
                    divisor: int = 1) -> dict[int, tuple[tuple[int, int], ...]]:
     """The prime factors of each distinct term value f(r+i) / divisor, in
     ascending order: each factor value |g(r+i)|, less its share of the
-    divisor, is factored on its own and the exponents are merged.  The least
-    value comes first, so a term that is not positive raises before any
-    factoring.  A factor value that recurs in the window, as x+b at x does
-    as x'+a at x' = x+b-a, is factored once."""
-    factored = {}
-    pieces: dict[int, tuple[tuple[int, int], ...]] = {}
+    divisor, is factored on its own and the exponents are merged.  Every
+    term is checked to be positive before any factoring.  All factor values
+    of the window go to one ``factorize_batch``, which factors a value that
+    recurs, as x+b at x does as x'+a at x' = x+b-a, once."""
+    pieces = {}
     for value, i in sorted({value: i for i, value in terms}.items()):
         if value <= 0:
             raise ValueError(f"window term f({r + i}) = {value * divisor} is not "
                              f"positive; shift the window first")
-        exponents, rest = {}, divisor
+        value_pieces, rest = [], divisor
         for g in factors:
             part = g(r + i)
             share = math.gcd(part, rest)
             rest //= share
-            piece = abs(part) // share
-            if piece not in pieces:
-                pieces[piece] = factorize(piece).factors
-            for p, e in pieces[piece]:
+            value_pieces.append(abs(part) // share)
+        pieces[value] = value_pieces
+    factored = factorize_batch([piece for value_pieces in pieces.values()
+                                for piece in value_pieces])
+    merged = {}
+    for value, value_pieces in pieces.items():
+        if len(value_pieces) == 1:
+            merged[value] = factored[value_pieces[0]].factors
+            continue
+        exponents = {}
+        for piece in value_pieces:
+            for p, e in factored[piece].factors:
                 exponents[p] = exponents.get(p, 0) + e
-        factored[value] = tuple(sorted(exponents.items()))
-    return factored
+        merged[value] = tuple(sorted(exponents.items()))
+    return merged
 
 
 def _qualifying(factors: Sequence[tuple[int, int]], R: int, prime_filter: str) -> list[int]:

@@ -5,11 +5,17 @@ import random
 import pytest
 
 from prodsets import arith
+from prodsets.acceptance import (
+    check_09_large_prime_floor,
+    check_10_mid_prime_floor,
+    check_11_witness_soundness,
+)
 from prodsets.arith import (
     DeskScaleError,
     Factorization,
     crt_solve,
     factorize,
+    factorize_batch,
     is_perfect_square,
     is_prime,
     primes_in_range,
@@ -277,8 +283,8 @@ PROVEN_ONCE_CORPUS = (
 def oracle_factor_large(n):
     # the corpus is built from these primes only
     out = {}
-    for d in (2, 3, 1021, 1031, 1033, 65537, 1048573, 1048583, 2**31 - 1, 10**9 + 7, 10**9 + 9,
-              M61):
+    for d in (2, 3, 1021, 1031, 1033, 65521, 65537, 65539, 1048573, 1048583, 2**31 - 1,
+              10**9 + 7, 10**9 + 9, M61):
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
@@ -298,6 +304,44 @@ def test_factorize_proves_each_prime_once(n, monkeypatch):
     assert dict(factorize(n).factors) == oracle_factor_large(n)
     assert len(tested) == len(set(tested)), tested
     assert not [m for m in tested if 2**10 < m < 2**20], tested
+
+
+def test_factorize_batch_proves_each_prime_once_and_none_below_2_32(monkeypatch):
+    tested = []
+
+    def recording_is_prime(m):
+        tested.append(m)
+        return is_prime(m)
+
+    monkeypatch.setattr(arith, "is_prime", recording_is_prime)
+    corpus = PROVEN_ONCE_CORPUS + [65537**2, 65537 * 65539, 65521**2, 1031 * 65521]
+    for n in corpus:
+        tested.clear()
+        assert dict(factorize_batch([n])[n].factors) == oracle_factor_large(n)
+        assert len(tested) == len(set(tested)), (n, tested)
+        assert not [m for m in tested if m < 2**32], (n, tested)
+    # one batch: each value, duplicates once, tests a prime at most once
+    tested.clear()
+    factored = factorize_batch(corpus + corpus)
+    assert {n: dict(f.factors) for n, f in factored.items()} == {
+        n: oracle_factor_large(n) for n in corpus}
+    for m in set(tested):
+        assert tested.count(m) <= sum(n % m == 0 for n in set(corpus)), m
+    assert not [m for m in tested if m < 2**32], tested
+
+
+def test_factorize_and_the_selftest_windows_never_build_the_medium_table(monkeypatch):
+    def refuse():
+        raise AssertionError("the medium-prime table was built")
+
+    monkeypatch.setattr(arith, "_medium_primorial", refuse)
+    for n in PROVEN_ONCE_CORPUS:
+        assert dict(factorize(n).factors) == oracle_factor_large(n)
+    for check in (check_09_large_prime_floor, check_10_mid_prime_floor,
+                  check_11_witness_soundness):
+        check()
+    with pytest.raises(AssertionError, match="medium-prime table"):
+        factorize_batch([1031 * 1033])
 
 
 def test_factorize_splits_the_first_square_above_the_trial_bound():

@@ -6,7 +6,10 @@ the trial-division cutover (and above 2^16, 10^6 and 2^31), exact powers of
 primes above 2^31 and 2^40 (split by the perfect-power test, not by rho), and
 Carmichael numbers, which fool the Fermat test for every coprime base.  The
 gcd trial stage is checked at its edges: values with no trial prime, only
-trial primes, every trial prime, and primes on both sides of 2^10.
+trial primes, every trial prime, and primes on both sides of 2^10.  The
+medium stage of factorize_batch is checked against sympy and against
+factorize of each value, at the primes on both sides of 2^10 and 2^16 and
+at the 2^32 bound below which it takes a factor as prime without a test.
 """
 
 import math
@@ -18,11 +21,14 @@ from sympy.ntheory.modular import crt
 
 from prodsets.arith import (
     TRIAL_DIVISION_LIMIT,
+    _MEDIUM_PRIME_LIMIT,
     _PRIMORIAL,
     _iroot,
+    _medium_primorial,
     _perfect_power,
     crt_solve,
     factorize,
+    factorize_batch,
     is_prime,
     primes_upto,
 )
@@ -95,6 +101,66 @@ def test_factorize_gcd_trial_stage_edges(n):
        st.one_of(st.just(1), st.integers(min_value=2, max_value=2**60)))
 def test_factorize_primes_around_the_trial_limit(prime_powers, cofactor):
     assert_matches_oracle(math.prod(p**e for p, e in prime_powers) * cofactor)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 1024, 2**16])
+def test_primes_upto_matches_sympy(n):
+    assert primes_upto(n) == list(sympy.primerange(n + 1))
+
+
+def test_medium_primorial_is_the_product_of_the_medium_primes():
+    medium = list(sympy.primerange(TRIAL_DIVISION_LIMIT, _MEDIUM_PRIME_LIMIT + 1))
+    assert (len(medium), medium[0], medium[-1]) == (6370, 1031, 65521)
+    assert _medium_primorial() == math.prod(medium)
+    assert _medium_primorial().bit_length() == 92608
+
+
+def assert_batch_matches_oracles(values):
+    factored = factorize_batch(values)
+    assert factored.keys() == set(values)
+    for n, found in factored.items():
+        assert found == factorize(n), n
+        assert dict(found.factors) == sympy.factorint(n), n
+
+
+M61 = 2**61 - 1
+# 1021 | 1031 and 65521 | 65537 are the primes on each side of 2^10 and 2^16;
+# h = gcd(remainder, cofactor) is composite for 1031 * 65521; 65537^2 is the
+# least composite with no prime up to 2^16, and rho splits 65537 * 65539
+BATCH_EDGES = [1, 1021, 1031, 65521, 65537, 65521**2, 1031 * 65521,
+               1031**2 * 65521**3 * M61, 65537**2, 65537 * 65539, 2**20 * 65521,
+               1021 * 1031 * 65521 * 65537]
+# 96-bit terms: 2281 | 2^95+1 and 51109 | 3*2^94+1 are medium primes, 65537
+# and a 25-bit prime are left in 2^96-1 after its medium primes
+BATCH_96_BITS = [2**95 + 1, 2**96 - 1, 3 * 2**94 + 1, 65537**2 * M61 * 1031]
+
+
+@pytest.mark.parametrize("n", BATCH_EDGES + BATCH_96_BITS)
+def test_factorize_batch_edges(n):
+    assert_batch_matches_oracles([n])
+
+
+def test_factorize_batch_of_every_edge_with_duplicates():
+    assert_batch_matches_oracles(BATCH_EDGES + BATCH_96_BITS + BATCH_EDGES[::-1])
+    assert factorize_batch([]) == {}
+    with pytest.raises(ValueError):
+        factorize_batch([2, 0])
+
+
+def test_factorize_batch_of_a_window_longer_than_one_remainder_tree():
+    # 1,879 of these 2,000 terms leave a cofactor >= 2^20: two trees
+    assert_batch_matches_oracles([(10**6 + i)**2 + 1 for i in range(1, 2001)])
+
+
+@ORACLE
+@given(st.lists(st.lists(st.tuples(st.sampled_from(list(sympy.primerange(2, 70000))),
+                                   st.integers(min_value=1, max_value=3)), max_size=5),
+                min_size=1, max_size=8),
+       st.lists(st.one_of(st.just(1), st.sampled_from([M61, 2**31 - 1, 10**9 + 7]),
+                          st.integers(min_value=2, max_value=2**40)), min_size=8, max_size=8))
+def test_factorize_batch_matches_sympy(prime_powers, cofactors):
+    values = [math.prod(p**e for p, e in drawn) * c for drawn, c in zip(prime_powers, cofactors)]
+    assert_batch_matches_oracles(values + values[:2])
 
 
 @ORACLE

@@ -11,8 +11,8 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
-from prodsets import polyseq
-from prodsets.arith import factorize
+from prodsets import arith, polyseq
+from prodsets.arith import factorize, factorize_batch
 from prodsets.polyseq import (
     PolynomialZ,
     _factor_window,
@@ -139,14 +139,21 @@ def test_per_factor_merge_matches_whole_product(drawn, repeat, window, gamma):
 def test_each_factor_value_is_factored_once_per_window(monkeypatch):
     # x+17 at x equals x+3 at x+14: 30 values of x+3 and 14 new ones of x+17
     factors = [PolynomialZ([3, 1]), PolynomialZ([17, 1])]
-    pieces = []
+    batches, staged = [], []
+    trial_stage = arith._trial_stage
 
-    def recording_factorize(n):
-        pieces.append(n)
-        return factorize(n)
+    def recording_batch(values):
+        batches.append(list(values))
+        return factorize_batch(batches[-1])
 
-    monkeypatch.setattr(polyseq, "factorize", recording_factorize)
+    def recording_trial_stage(n):
+        staged.append(n)
+        return trial_stage(n)
+
+    monkeypatch.setattr(polyseq, "factorize_batch", recording_batch)
+    monkeypatch.setattr(arith, "_trial_stage", recording_trial_stage)
     report = window_witness(factors, 1000, 30, 2)
-    assert len(pieces) == 44 == len(set(pieces))
+    assert len(batches) == 1 and len(set(batches[0])) == 44
+    assert len(staged) == 44 == len(set(staged))
     monkeypatch.setattr(polyseq, "_factor_window", whole_product_factors)
     assert report == window_witness(factors, 1000, 30, 2)
