@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 from fractions import Fraction
@@ -65,11 +66,21 @@ def _parse_seq(text: str):
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write through a temporary file renamed into place.  The file gets the
+    mode open(path, "w") would give it: its own if it exists, else 0o666
+    less the umask (mkstemp creates it 0o600)."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -108,8 +119,7 @@ def _cmd_graph(args) -> int:
     base = _parse_set(args.set)
     kind = _parse_seq(args.seq)
     members = sequence_members(base, kind)
-    mode = auxgraph.ONE_CLASS if args.mode == "one" else auxgraph.TWO_CLASS
-    graph = auxgraph.build_aux_graph(base, members, mode)
+    graph = auxgraph.build_aux_graph(base, members, args.mode)
     report = auxgraph.edge_bound_report(graph)
     if args.dump:
         _write_atomic(args.dump, auxgraph.dump_edges_csv(graph))
@@ -136,14 +146,18 @@ def _cmd_window(args) -> int:
 def _cmd_witness(args) -> int:
     factors = _parse_factors(args.poly_factors)
     report = polyseq.window_witness(factors, args.r, args.R, gamma=args.gamma)
+    try:
+        # the default gamma is the int 2; an explicit --gamma is echoed as a float
+        gamma = report.gamma if isinstance(report.gamma, int) else float(report.gamma)
+    except OverflowError:
+        raise ValueError("--gamma is too large to echo as a float") from None
     _print_json({
         "case": report.case,
         "R": report.window_length,
         "r": report.r,
         "k": report.k,
         "B_lower_bound": report.b_lower_bound,
-        # the default gamma is the int 2; an explicit --gamma is echoed as a float
-        "gamma": report.gamma if isinstance(report.gamma, int) else float(report.gamma),
+        "gamma": gamma,
         "num_terms": len(report.terms),
         "num_primes": len(report.primes),
         "degree_bound": report.degree_bound,
@@ -204,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="representation graph for sequence members of B.B")
     p.add_argument("--set", required=True)
     p.add_argument("--seq", required=True)
-    p.add_argument("--mode", choices=("one", "two"), default="one")
+    p.add_argument("--mode", choices=(auxgraph.ONE_CLASS, auxgraph.TWO_CLASS),
+                   default=auxgraph.ONE_CLASS)
     p.add_argument("--dump", default=None, help="write the edge list CSV here")
     p.set_defaults(handler=_cmd_graph)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .arith import DeskScaleError
 from .productset import BaseSet, sequence_members
-from .sequences import SequenceKind, fib, fib_values_upto
+from .sequences import FIBONACCI, SequenceKind, fib
 
 MAX_UNIVERSE = 40
 MAX_SET_SIZE = 6
@@ -22,9 +22,8 @@ def fib_core(universe_max: int) -> tuple[int, ...]:
     ``universe_max - len(core)`` elements are isolated vertices of every
     representation graph.
     """
-    fib_set = frozenset(fib_values_upto(universe_max * universe_max))
-    return tuple(x for x in range(1, universe_max + 1)
-                 if any(x * y in fib_set for y in range(1, universe_max + 1)))
+    members = sequence_members(BaseSet(range(1, universe_max + 1)), FIBONACCI)
+    return tuple(sorted({x for m in members for pair in m.pairs for x in pair}))
 
 
 def fib_subsets(universe_max: int, max_size: int):
@@ -44,10 +43,12 @@ def fib_subsets(universe_max: int, max_size: int):
     before the next step and copy what must outlive it.
     """
     core = fib_core(universe_max)
-    fib_set = frozenset(fib_values_upto(universe_max * universe_max))
-    # partners[i]: the (y, x*y) with y <= x = core[i] and x*y a Fibonacci value
-    partners = [tuple((y, x * y) for y in core[:i + 1] if x * y in fib_set)
-                for i, x in enumerate(core)]
+    # partners[i]: the (y, x*y) with y <= x = core[i] and x*y a Fibonacci
+    # value, ascending by y since the members ascend by value
+    partners = [[] for _ in core]
+    for m in sequence_members(BaseSet(range(1, universe_max + 1)), FIBONACCI):
+        for y, x in m.pairs:
+            partners[core.index(x)].append((y, m.value))
     present = [False] * (universe_max + 1)
     subset: list[int] = []
     pairs: dict[int, list[tuple[int, int]]] = {}

@@ -116,11 +116,6 @@ def fib(n: int) -> int:
     return _nth(_terms(FIBONACCI), n)
 
 
-def fib_values_upto(limit: int) -> list[int]:
-    """Distinct Fibonacci values <= limit, ascending."""
-    return list(term_table(FIBONACCI, limit))
-
-
 def lucas_u(spec: LucasSpec, n: int) -> int:
     """U_n(P, Q): U_1 = 1, U_2 = P."""
     return _nth(_terms(spec), n)

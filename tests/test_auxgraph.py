@@ -17,7 +17,6 @@ from prodsets.productset import BaseSet, SequenceMember, sequence_members
 from prodsets.sequences import (
     FIBONACCI,
     LucasSpec,
-    fib_values_upto,
     is_fibonacci,
     lucas_u,
 )
@@ -181,7 +180,10 @@ def test_forest_bound_on_acyclic_graphs():
 
 def test_exhaustive_acyclicity_all_assignments_small_universe():
     # every representation assignment over every B in {1..15}, |B| <= 4
-    fib_set = frozenset(fib_values_upto(15 * 15))
+    fib_set, a, b = set(), 1, 2  # the recurrence, not the term table under test
+    while a <= 15 * 15:
+        fib_set.add(a)
+        a, b = b, a + b
     for size in range(1, 5):
         for combo in combinations(range(1, 16), size):
             members = {}

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -118,6 +120,15 @@ def test_graph_report_and_dump(capsys, tmp_path):
     assert dump.read_text() == "1,1,1\n1,2,2\n1,3,3\n1,5,5\n1,8,8\n"
 
 
+def test_graph_rejects_an_unknown_mode(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["graph", "--set", "1,2,3", "--seq", "fib", "--mode", "three"])
+    assert info.value.code == 2
+    _, err = capsys.readouterr()
+    assert err.endswith(
+        "error: argument --mode: invalid choice: 'three' (choose from 'one', 'two')\n")
+
+
 def test_graph_two_class_mode(capsys):
     code, out, _ = run_cli(["graph", "--set", "2,3", "--seq", "fib", "--mode", "two"],
                            capsys)
@@ -167,6 +178,17 @@ def test_witness_gamma_is_compared_exactly(capsys):
     assert payload["case"] == 2
     assert payload["gamma"] == 12.5
     assert '"gamma": 12.5,' in out
+
+
+def test_witness_gamma_beyond_the_float_range(capsys):
+    argv = ["--r", "0", "--R", "10", "--gamma", "1e400"]
+    code, out, err = run_cli(["witness", "--poly-factors", "1,0,1"] + argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --gamma is too large to echo as a float\n"
+    # a linear window meets the power guard first
+    code, out, err = run_cli(["witness", "--poly-factors", "0,1"] + argv, capsys)
+    assert (code, out) == (3, "")
+    assert "MAX_POWER_BITS" in err
 
 
 def test_witness_json_fields(capsys):
@@ -226,3 +248,25 @@ def test_selftest_times_each_check_on_stderr(capsys, monkeypatch):
     assert [fields[0] for fields in lines] == ["quick", "broken"]
     for _, cpu_s, wall_s in lines:
         assert float(cpu_s) >= 0 and float(wall_s) >= 0
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fib-extremal", "--universe", "7", "--size", "2", "--out"],
+    ["window", "--poly", "0,1", "--r", "0", "--R", "10", "--filter", "mid", "--out"],
+    ["graph", "--set", "1,2,3", "--seq", "fib", "--dump"],
+], ids=["fib-extremal", "window", "graph"])
+def test_written_files_get_the_mode_open_would_give(argv, capsys, tmp_path, umask_022):
+    target = tmp_path / "report"
+    assert run_cli(argv + [str(target)], capsys)[0] == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644
+    target.chmod(0o640)     # an existing file keeps its mode
+    assert run_cli(argv + [str(target)], capsys)[0] == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert os.listdir(tmp_path) == ["report"]   # no temporary file left

@@ -3,7 +3,7 @@ from itertools import combinations, zip_longest
 
 import pytest
 
-from prodsets import extremal
+from prodsets import productset
 from prodsets.arith import DeskScaleError
 from prodsets.extremal import (
     fib_core,
@@ -16,7 +16,6 @@ from prodsets.productset import BaseSet, sequence_members
 from prodsets.sequences import (
     FIBONACCI,
     LUCAS_V,
-    fib_values_upto,
     lucas_u,
     lucas_v,
 )
@@ -49,6 +48,8 @@ def brute_core(n):
 def test_fib_core_matches_definition():
     for n in range(1, 41):
         assert fib_core(n) == brute_core(n), n
+    with pytest.raises(ValueError):     # {1..0} is empty, as in sequence_members
+        fib_core(0)
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -85,7 +86,7 @@ def recursive_fib_subsets(universe_max, max_size):
     """The core walk as recursive generators, one per depth: the reference
     that fib_subsets' loop over an index stack must match step for step."""
     core = fib_core(universe_max)
-    fib_set = frozenset(fib_values_upto(universe_max * universe_max))
+    fib_set = brute_fib_set(universe_max * universe_max)
     partners = [tuple((y, x * y) for y in core[:i + 1] if x * y in fib_set)
                 for i, x in enumerate(core)]
     present = [False] * (universe_max + 1)
@@ -157,9 +158,10 @@ def test_max_fib_count_matches_brute_force():
 def test_max_fib_count_pads_with_smallest_inactive(values, monkeypatch):
     # Within the guards a Fibonacci maximiser needs padding only at (6, 6);
     # a sparse stand-in for the Fibonacci values leaves most of {1..n}
-    # inactive, so padding and lexicographic ties across core parts decide
-    monkeypatch.setattr(extremal, "fib_values_upto",
-                        lambda limit: [v for v in values if v <= limit])
+    # inactive, so padding and lexicographic ties across core parts decide;
+    # the one term table sequence_members reads is replaced
+    monkeypatch.setattr(productset, "term_table",
+                        lambda kind, limit: {v: 1 for v in values if v <= limit})
     for n in range(1, 11):
         for k in range(1, min(n, 6) + 1):
             best_count, best_combo = -1, None

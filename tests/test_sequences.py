@@ -11,7 +11,6 @@ from prodsets.sequences import (
     LUCAS_V,
     LucasSpec,
     fib,
-    fib_values_upto,
     is_fibonacci,
     is_lucas_number,
     lucas_u,
@@ -44,9 +43,9 @@ def test_fib_values():
         fib(0)
 
 
-def test_fib_values_upto():
-    assert fib_values_upto(100) == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
-    assert fib_values_upto(0) == []
+def test_fibonacci_term_table():
+    assert list(term_table(FIBONACCI, 100)) == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
+    assert term_table(FIBONACCI, 0) == {}
 
 
 def test_lucas_spec_validation():
