@@ -4,8 +4,8 @@ Given a bipartite graph in which every b-vertex has degree >= 1 and n is the
 largest a-degree, ``cover_sequence`` returns b-vertices b_1, ..., b_k
 such that each b_i is adjacent to an a-vertex that no earlier b_j touches,
 with k * n >= |B| guaranteed.  A single greedy pass is attempted first; when
-it keeps too few vertices, the kept ones are dropped and the procedure
-recurses with the degree bound lowered by one (every a-vertex with any edge
+it keeps too few vertices, the kept ones are dropped and the pass is
+repeated with the degree bound lowered by one (every a-vertex with any edge
 was adjacent to a kept b, so it loses an edge).
 """
 
@@ -42,7 +42,14 @@ class Bipartite:
 
 def cover_sequence(graph: Bipartite) -> list:
     """Ordered b-vertices with fresh neighbourhood prefixes, k * n >= |B|."""
-    return _solve(list(graph.b_vertices), graph.adjacency, graph.degree_bound)
+    b_order, bound = list(graph.b_vertices), graph.degree_bound
+    while True:
+        kept = _greedy_pass(b_order, graph.adjacency)
+        if bound <= 1 or len(kept) * bound >= len(b_order):
+            return kept
+        removed = set(kept)
+        b_order = [b for b in b_order if b not in removed]
+        bound -= 1
 
 
 def _greedy_pass(b_order, adjacency):
@@ -53,14 +60,6 @@ def _greedy_pass(b_order, adjacency):
             kept.append(b)
             covered.update(neighbours)
     return kept
-
-
-def _solve(b_order, adjacency, bound):
-    kept = _greedy_pass(b_order, adjacency)
-    if bound <= 1 or len(kept) * bound >= len(b_order):
-        return kept
-    removed = set(kept)
-    return _solve([b for b in b_order if b not in removed], adjacency, bound - 1)
 
 
 def verify_cover(graph: Bipartite, sequence: Sequence) -> bool:

@@ -143,6 +143,13 @@ def content_d(f: PolynomialZ) -> int:
 # Irreducibility screening (complete for degree <= 3)
 # ---------------------------------------------------------------------------
 
+def _hold_setup_value(name: str, n: int) -> None:
+    """Hold a value the set-up factors to MAX_TERM_BITS, as window terms are."""
+    if n.bit_length() > MAX_TERM_BITS:
+        raise DeskScaleError(f"set-up values capped at {MAX_TERM_BITS} bits "
+                             f"(MAX_TERM_BITS); the {name} has {n.bit_length()} bits")
+
+
 def _divisors(n: int) -> list[int]:
     out = [1]
     for p, e in factorize(n).factors:
@@ -155,8 +162,11 @@ def _has_rational_root(f: PolynomialZ) -> bool:
     if a0 == 0:
         return True
     n = f.degree
+    _hold_setup_value("constant term", a0)         # both before either is factored
+    _hold_setup_value("leading coefficient", f.leading)
+    leading_divisors = _divisors(abs(f.leading))
     for p in _divisors(abs(a0)):
-        for q in _divisors(abs(f.leading)):
+        for q in leading_divisors:
             if math.gcd(p, q) != 1:
                 continue
             for num in (p, -p):
@@ -200,6 +210,7 @@ def admissible_residue(f: PolynomialZ) -> tuple[int, int]:
     check_irreducible(f)
     d = content_d(f)
     modulus = abs(discriminant(f)) * d * d
+    _hold_setup_value("residue modulus |disc| * d^2", modulus)
     # The scan always finds a residue, and one <= deg f: g = f/d has value
     # content 1, so p does not divide g(x) for some x in 0..deg f; and
     # whether p divides g(x) depends only on x mod p^e, since p^e | disc * d^2
@@ -260,32 +271,26 @@ def window_terms(factors: Sequence[PolynomialZ], r: int, window_length: int,
     return terms
 
 
-def _factor_window(factors: Sequence[PolynomialZ], r: int, terms: list[tuple[int, int]],
-                   divisor: int = 1) -> dict[int, tuple[tuple[int, int], ...]]:
-    """The prime factors of each distinct term value f(r+i) / divisor, in
-    ascending order: each factor value |g(r+i)|, less its share of the
-    divisor, is factored on its own and the exponents are merged.  Every
-    term is checked to be positive before any factoring.  All factor values
-    of the window go to one ``factorize_batch``, which factors a value that
-    recurs, as x+b at x does as x'+a at x' = x+b-a, once."""
+def _factor_window(factors: Sequence[PolynomialZ], r: int,
+                   terms: list[tuple[int, int]]) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The prime factors of each distinct term value, in ascending order.
+    A one-factor term is factored as its value; a term of several factors as
+    its factor values |g(r+i)|, whose exponents are merged.  Every term is
+    checked to be positive before any factoring.  All values of the window
+    go to one ``factorize_batch``, which factors a value that recurs, as
+    x+b at x does as x'+a at x' = x+b-a, once."""
     pieces = {}
     for value, i in sorted({value: i for i, value in terms}.items()):
         if value <= 0:
-            raise ValueError(f"window term f({r + i}) = {value * divisor} is not "
+            raise ValueError(f"window term {i} at x = {r + i} is {value}, not "
                              f"positive; shift the window first")
-        value_pieces, rest = [], divisor
-        for g in factors:
-            part = g(r + i)
-            share = math.gcd(part, rest)
-            rest //= share
-            value_pieces.append(abs(part) // share)
-        pieces[value] = value_pieces
+        pieces[value] = [value] if len(factors) == 1 else [abs(g(r + i)) for g in factors]
     factored = factorize_batch([piece for value_pieces in pieces.values()
                                 for piece in value_pieces])
     merged = {}
     for value, value_pieces in pieces.items():
         if len(value_pieces) == 1:
-            merged[value] = factored[value_pieces[0]].factors
+            merged[value] = factored[value].factors
             continue
         exponents = {}
         for piece in value_pieces:
@@ -324,7 +329,7 @@ def window_stats(f: PolynomialZ, r: int, window_length: int, prime_filter: str,
         modulus, a = admissible_residue(f)
         residue = (a, modulus)
         terms = [(i, value) for i, value in terms if (r + i - a) % modulus == 0]
-    factored = _factor_window([f], r, terms, divisor)
+    factored = _factor_window([f], r, terms)
 
     records = []
     above = mid = 0

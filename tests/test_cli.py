@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import sys
 
 import pytest
 
@@ -226,6 +227,18 @@ def test_cover_from_file(capsys, tmp_path):
     assert payload["sequence"] == ["b1", "b2"]
     assert payload["bound_ok"] is True
     assert payload["verified"] is True
+
+
+def test_cover_of_a_deep_descent(capsys, tmp_path):
+    n = sys.getrecursionlimit() + 100
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text("".join(f"u{i} a1 a2\n" for i in range(n)) + "p1 a1\np2 a2\n")
+    code, out, _ = run_cli(["cover", "--graph", str(graph_file)], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["sequence"] == ["p1", "p2"]
+    assert payload["k"] * payload["degree_bound"] >= payload["b_count"] == n + 2
+    assert payload["bound_ok"] is True and payload["verified"] is True
 
 
 def test_reports_are_byte_stable(capsys):

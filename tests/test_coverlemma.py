@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +41,19 @@ def test_inductive_descent_when_greedy_keeps_too_few():
     seq = cover_sequence(graph)
     assert seq == ["b2", "b3"]
     assert len(seq) * 2 >= 3
+    assert verify_cover(graph, seq)
+
+
+def test_long_descent_needs_no_recursion():
+    # each pass keeps one universal u and drops it, so the degree bound is
+    # lowered once per u; the descent must outlast the recursion limit
+    n = sys.getrecursionlimit() + 100
+    adjacency = {f"u{i}": ["a1", "a2"] for i in range(n)}
+    adjacency.update({"p1": ["a1"], "p2": ["a2"]})
+    graph = Bipartite(adjacency)
+    seq = cover_sequence(graph)
+    assert seq == ["p1", "p2"]
+    assert len(seq) * graph.degree_bound >= len(adjacency)
     assert verify_cover(graph, seq)
 
 

@@ -1,10 +1,13 @@
-"""Every name a ``prodsets`` module imports is used in that module.
+"""Every name a ``prodsets`` module imports is used in that module, and
+every module it imports from outside the package is in the standard library.
 
 The toolchain has no linter, so a deleted function could leave its imports
-behind unnoticed.  ``__init__.py`` imports only to re-export and is exempt.
+behind unnoticed.  ``__init__.py`` imports only to re-export and is exempt
+from the first check.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,16 @@ def test_every_import_is_used(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used)
     assert not unused, f"{module} imports but never uses {unused}"
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_only_the_standard_library_is_imported(module):
+    tree = ast.parse((PACKAGE / module).read_text())
+    absolute = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            absolute.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            absolute.add(node.module.split(".")[0])
+    outside = sorted(absolute - sys.stdlib_module_names)
+    assert not outside, f"{module} imports {outside}, outside the standard library"

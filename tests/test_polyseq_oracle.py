@@ -102,7 +102,7 @@ WINDOW = st.tuples(st.one_of(st.integers(0, 12), st.integers(2**33 - 40, 2**33))
                    st.integers(1, 8))
 
 
-def whole_product_factors(factors, r, terms, divisor=1):
+def whole_product_factors(factors, r, terms):
     return {value: factorize(value).factors for value in sorted({v for _, v in terms})}
 
 
@@ -124,12 +124,6 @@ def test_per_factor_merge_matches_whole_product(drawn, repeat, window, gamma):
     assert list(merged) == sorted(set(values))
     for value, found in merged.items():
         assert dict(found) == sympy.factorint(value), (factors, value)
-    # a divisor taken out of the product is taken out of the factor values
-    divisor = math.gcd(*values)
-    divided = _factor_window(factors, r, window_terms(factors, r, R, divisor=divisor),
-                             divisor)
-    for value, found in divided.items():
-        assert dict(found) == sympy.factorint(value), (factors, divisor, value)
     report = window_witness(factors, r, R, gamma)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(polyseq, "_factor_window", whole_product_factors)
