@@ -18,7 +18,7 @@ from .auxgraph import (
     find_cycle,
 )
 from .coverlemma import Bipartite, cover_sequence, verify_cover
-from .extremal import fib_core, fib_subsets, lucas_count_check, max_fib_count, sharp_example
+from .extremal import core, core_subsets, lucas_count_check, max_fib_count, sharp_example
 from .polyseq import (
     ABOVE_R,
     MID_RANGE,

@@ -147,21 +147,22 @@ def _acyclic_representations(universe_max: int, max_size: int) -> int:
     most two self-loops, always on the values 1 and 144; returns the number
     of (B, assignment) graphs this covers.
 
-    B's graphs are those of its core part S (``extremal.fib_core``) plus
+    B's graphs are those of its core part S (``extremal.core``) plus
     isolated vertices, which change no cycle and no self-loop.  So each
     distinct member map of the core walk is checked once, building the graph
     of every assignment's edges (a, b, v), and each S of size j counts for
     the sets that pad it with 0 .. max_size - j inactive elements.
     """
-    pad = universe_max - len(extremal.fib_core(universe_max))
+    members = sequence_members(BaseSet(range(1, universe_max + 1)), sequences.FIBONACCI)
+    pad = universe_max - len(extremal.core(members))
     padded = [sum(math.comb(pad, size - j) for size in range(j, max_size + 1))
               for j in range(max_size + 1)]
     graphs_checked = 0
     seen = set()
-    for subset, members in extremal.fib_subsets(universe_max, max_size):
-        if not members:
+    for subset, pairs in extremal.core_subsets(members, max_size):
+        if not pairs:
             continue
-        items = tuple(sorted((v, tuple(ps)) for v, ps in members.items()))
+        items = tuple(sorted((v, tuple(ps)) for v, ps in pairs.items()))
         graphs_checked += padded[len(subset)] * math.prod(len(ps) for _, ps in items)
         if items in seen:
             continue
@@ -170,7 +171,7 @@ def _acyclic_representations(universe_max: int, max_size: int) -> int:
         square_values = {v for v, ps in items if any(b1 == b2 for b1, b2 in ps)}
         _require(square_values <= {1, 144},
                  "B = %s: square member values %s", combo, square_values)
-        choice_sets = [[(a, b, v) for a, b in pairs] for v, pairs in items]
+        choice_sets = [[(a, b, v) for a, b in ps] for v, ps in items]
         for edges in iter_product(*choice_sets):
             graph = auxgraph.AuxGraph(auxgraph.ONE_CLASS, combo, edges)
             _require(auxgraph.find_cycle(graph) is None,

@@ -13,71 +13,68 @@ MAX_UNIVERSE = 40
 MAX_SET_SIZE = 6
 
 
-def fib_core(universe_max: int) -> tuple[int, ...]:
-    """The active elements of {1..universe_max}, ascending: x is active when
-    x*y is a Fibonacci number for some y in {1..universe_max}.
+def core(members) -> tuple:
+    """The elements of the members' factor pairs, ascending.
 
-    Every factor pair of a Fibonacci value in B.B lies in the core, so those
-    values and their pairs depend only on the core part of B; the other
-    ``universe_max - len(core)`` elements are isolated vertices of every
-    representation graph.
+    The members are those ``sequence_members`` finds in a universe U.  Every
+    factor pair of a term in B.B, B inside U, lies in the core, so those
+    terms and their pairs depend only on the core part of B; the other
+    elements of U are isolated vertices of every representation graph.
     """
-    members = sequence_members(BaseSet(range(1, universe_max + 1)), FIBONACCI)
     return tuple(sorted({x for m in members for pair in m.pairs for x in pair}))
 
 
-def fib_subsets(universe_max: int, max_size: int):
-    """Every nonempty subset of the core of {1..universe_max} (see
-    ``fib_core``) with at most max_size elements, in depth-first order (so
-    the subsets of each size come in lexicographic order), each with the
-    Fibonacci values of its product set.
+def core_subsets(members, max_size: int):
+    """Every nonempty subset of ``core(members)`` with at most max_size
+    elements, in depth-first order (so the subsets of each size come in
+    lexicographic order), each with the terms of its product set.
 
     A core subset S of size j stands for the ``C(pad, k - j)`` sets B of each
-    size k that add k - j inactive elements to it, ``pad = universe_max -
-    len(fib_core(universe_max))``; they share its values and pairs.
+    size k that add k - j elements of the universe outside the core to it,
+    ``pad = |U| - len(core(members))``; they share its terms and pairs.
 
     Yields ``(subset, pairs)``: ``subset`` is the ascending list of elements
-    and ``pairs`` maps each Fibonacci value v in S.S to its factor pairs
+    and ``pairs`` maps each member value v in S.S to its factor pairs
     ``(a, b)``, a <= b, a*b = v, ascending by a.  Both are the walk's own
     state, updated in place as elements are added and removed: read them
     before the next step and copy what must outlive it.
     """
-    core = fib_core(universe_max)
-    # partners[i]: the (y, x*y) with y <= x = core[i] and x*y a Fibonacci
-    # value, ascending by y since the members ascend by value
-    partners = [[] for _ in core]
-    for m in sequence_members(BaseSet(range(1, universe_max + 1)), FIBONACCI):
-        for y, x in m.pairs:
-            partners[core.index(x)].append((y, m.value))
-    present = [False] * (universe_max + 1)
-    subset: list[int] = []
-    pairs: dict[int, list[tuple[int, int]]] = {}
+    elements = core(members)
+    position = {x: i for i, x in enumerate(elements)}
+    # partners[i]: (j, pair, value) for each pair (elements[j], elements[i]),
+    # ascending by j since the members ascend by value
+    partners = [[] for _ in elements]
+    for m in members:
+        for pair in m.pairs:
+            partners[position[pair[1]]].append((position[pair[0]], pair, m.value))
+    present = [False] * len(elements)
+    subset: list = []
+    pairs: dict[int, list[tuple]] = {}
     state = (subset, pairs)
-    stack: list[int] = []  # core indices of subset's elements
-    i = 0  # the core index to try next as a new last element
+    stack: list[int] = []  # positions of subset's elements
+    i = 0  # the position to try next as a new last element
     while True:
-        if i < len(core) and len(stack) < max_size:
-            x = core[i]
-            subset.append(x)
-            present[x] = True
-            # x is the largest element, so (y, x) has the smallest first
-            # element among the pairs of its value: it goes in front
-            for y, v in partners[i]:
-                if present[y]:
-                    pairs.setdefault(v, []).insert(0, (y, x))
+        if i < len(elements) and len(stack) < max_size:
+            subset.append(elements[i])
+            present[i] = True
+            # the new element is the largest, so its pair has the smallest
+            # first element among the pairs of its value: it goes in front
+            for j, pair, v in partners[i]:
+                if present[j]:
+                    pairs.setdefault(v, []).insert(0, pair)
             stack.append(i)
             yield state
             i += 1
         elif stack:
             # take the last element out again; its successor takes its place
             i = stack.pop()
-            for y, v in partners[i]:
-                if present[y]:
+            for j, _, v in partners[i]:
+                if present[j]:
                     held = pairs[v]
                     del held[0]
                     if not held:
                         del pairs[v]
-            present[core[i]] = False
+            present[i] = False
             subset.pop()
             i += 1
         else:
@@ -88,7 +85,7 @@ def max_fib_count(universe_max: int, set_size: int) -> tuple[int, BaseSet]:
     """Maximum number of Fibonacci values in B.B over all B of the given size
     inside {1..universe_max}, with the lexicographically first maximiser.
 
-    B's count is that of its core part S (see ``fib_core``).  For a fixed S,
+    B's count is that of its core part S (see ``core``).  For a fixed S,
     the lexicographically first B pads S with the smallest inactive
     elements, since swapping a padding element for a smaller unused one
     gives a smaller tuple; so only core subsets are searched.
@@ -101,13 +98,14 @@ def max_fib_count(universe_max: int, set_size: int) -> tuple[int, BaseSet]:
             f"(MAX_UNIVERSE, MAX_SET_SIZE); got universe {universe_max}, size {set_size}")
     if set_size > universe_max:
         raise ValueError("set size exceeds universe size")
-    active = set(fib_core(universe_max))
+    members = sequence_members(BaseSet(range(1, universe_max + 1)), FIBONACCI)
+    active = set(core(members))
     inactive = [x for x in range(1, universe_max + 1) if x not in active]
     best_count, best_combo = -1, None
     if len(inactive) >= set_size:
         # a B with no active element: no Fibonacci value
         best_count, best_combo = 0, tuple(inactive[:set_size])
-    for subset, pairs in fib_subsets(universe_max, set_size):
+    for subset, pairs in core_subsets(members, set_size):
         fill = set_size - len(subset)
         if fill <= len(inactive) and len(pairs) >= best_count:
             combo = tuple(sorted(subset + inactive[:fill]))

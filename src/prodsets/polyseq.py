@@ -392,9 +392,9 @@ def _beyond_power(r: int, window_length: int, gamma) -> bool:
     p, q = gamma.numerator, gamma.denominator
     bits = q * r.bit_length() + abs(p) * window_length.bit_length()
     if bits > MAX_POWER_BITS:
-        raise DeskScaleError(f"r^q and R^p capped at {MAX_POWER_BITS} bits "
-                             f"(MAX_POWER_BITS); gamma = {gamma}, r = {r}, "
-                             f"R = {window_length} need {bits} bits")
+        raise DeskScaleError(f"r^q and R^p capped at {MAX_POWER_BITS} bits (MAX_POWER_BITS); "
+                             f"gamma's numerator and denominator have {p.bit_length()} and "
+                             f"{q.bit_length()} bits, r = {r}, R = {window_length}")
     return r**q > Fraction(window_length) ** p
 
 

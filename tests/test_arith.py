@@ -196,6 +196,8 @@ def test_factorization_validates_invariants():
         Factorization(16, ((4, 2),))             # composite "prime"
     with pytest.raises(ValueError):
         Factorization(2, ((2, 0),))              # zero exponent
+    with pytest.raises(ValueError):
+        Factorization(0, ())                     # subject below 1
 
 
 # --- prime ranges --------------------------------------------------------
@@ -266,6 +268,8 @@ def test_crt_rejects_bad_input():
         crt_solve([(1, 4), (3, 6)])   # gcd(4, 6) = 2
     with pytest.raises(ValueError):
         crt_solve([(5, 3)])           # residue out of range
+    with pytest.raises(ValueError):
+        crt_solve([(0, 0)])           # modulus below 1
 
 
 M61 = 2**61 - 1

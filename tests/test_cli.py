@@ -108,6 +108,20 @@ def test_bad_flags_exit_two(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lucas-bound", "--set", ",", "--seq", "fib"], "empty base set"),
+    (["lucas-bound", "--set", "1,2", "--seq", "foo"], "unknown sequence: 'foo'"),
+    (["window", "--poly", "1,0,1", "--r", "0", "--R", "0", "--filter", "above"],
+     "window length must be >= 1"),
+    (["window", "--poly", "1,0,1", "--r", "-1", "--R", "5", "--filter", "above"],
+     "r must be >= 0"),
+])
+def test_bad_values_exit_two(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message), err
+
+
 def test_graph_report_and_dump(capsys, tmp_path):
     dump = tmp_path / "edges.csv"
     code, out, _ = run_cli(["graph", "--set", "1,2,3,5,8", "--seq", "fib",
@@ -186,10 +200,12 @@ def test_witness_gamma_beyond_the_float_range(capsys):
     code, out, err = run_cli(["witness", "--poly-factors", "1,0,1"] + argv, capsys)
     assert (code, out) == (2, "")
     assert err == "error: --gamma is too large to echo as a float\n"
-    # a linear window meets the power guard first
+    # a linear window meets the power guard first, which names gamma's
+    # size, not its 401 digits
     code, out, err = run_cli(["witness", "--poly-factors", "0,1"] + argv, capsys)
     assert (code, out) == (3, "")
     assert "MAX_POWER_BITS" in err
+    assert err.count("\n") == 1 and len(err.encode()) < 200, err
 
 
 def test_witness_json_fields(capsys):
@@ -227,6 +243,18 @@ def test_cover_from_file(capsys, tmp_path):
     assert payload["sequence"] == ["b1", "b2"]
     assert payload["bound_ok"] is True
     assert payload["verified"] is True
+
+
+def test_cover_skips_comments_and_rejects_duplicate_lines(capsys, tmp_path):
+    graph_file = tmp_path / "graph.txt"
+    graph_file.write_text("# b a1 a2 ...\nb1 a1\n\n  # indented\nb2 a1 a2\n   \nb3 a2\n")
+    code, out, _ = run_cli(["cover", "--graph", str(graph_file)], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["sequence"], payload["b_count"]) == (["b1", "b2"], 3)
+    graph_file.write_text("b1 a1\nb2 a2\nb1 a2\n")
+    code, out, err = run_cli(["cover", "--graph", str(graph_file)], capsys)
+    assert (code, out, err) == (2, "", "error: duplicate b-vertex line: b1\n")
 
 
 def test_cover_of_a_deep_descent(capsys, tmp_path):

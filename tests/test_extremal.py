@@ -3,11 +3,11 @@ from itertools import combinations, zip_longest
 
 import pytest
 
-from prodsets import productset
+from prodsets import acceptance, extremal, productset
 from prodsets.arith import DeskScaleError
 from prodsets.extremal import (
-    fib_core,
-    fib_subsets,
+    core,
+    core_subsets,
     lucas_count_check,
     max_fib_count,
     sharp_example,
@@ -16,6 +16,7 @@ from prodsets.productset import BaseSet, sequence_members
 from prodsets.sequences import (
     FIBONACCI,
     LUCAS_V,
+    LucasSpec,
     lucas_u,
     lucas_v,
 )
@@ -45,27 +46,31 @@ def brute_core(n):
     return tuple(sorted({x for ps in pairs.values() for pair in ps for x in pair}))
 
 
+def fib_members(n):
+    return sequence_members(BaseSet(range(1, n + 1)), FIBONACCI)
+
+
 def test_fib_core_matches_definition():
     for n in range(1, 41):
-        assert fib_core(n) == brute_core(n), n
-    with pytest.raises(ValueError):     # {1..0} is empty, as in sequence_members
-        fib_core(0)
+        assert core(fib_members(n)) == brute_core(n), n
+    with pytest.raises(ValueError):     # {1..0} is empty
+        fib_members(0)
 
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_fib_subsets_matches_brute_force(n):
     fib_values = brute_fib_set(n * n)
-    core = fib_core(n)
+    members, elements = fib_members(n), brute_core(n)
     for k in range(1, 5):
         walked = [(tuple(subset), {v: list(ps) for v, ps in pairs.items()})
-                  for subset, pairs in fib_subsets(n, k)]
+                  for subset, pairs in core_subsets(members, k)]
         # depth-first order is lexicographic order of the ascending tuples
         assert [subset for subset, _ in walked] == sorted(
-            combo for size in range(1, k + 1) for combo in combinations(core, size))
+            combo for size in range(1, k + 1) for combo in combinations(elements, size))
         for subset, pairs in walked:
             assert pairs == brute_pair_map(subset, fib_values), subset
     # the isolated-vertex lemma: inactive elements add no value and no pair
-    active = set(core)
+    active = set(elements)
     for k in range(1, 5):
         for combo in combinations(range(1, n + 1), k):
             core_part = tuple(x for x in combo if x in active)
@@ -73,19 +78,52 @@ def test_fib_subsets_matches_brute_force(n):
 
 
 def test_fib_subsets_leaves_no_state_behind():
-    walk = fib_subsets(12, 3)
+    walk = core_subsets(fib_members(12), 3)
     subset, pairs = next(walk)
     assert (subset, pairs) == ([1], {1: [(1, 1)]})
     for subset, pairs in walk:
         pass
     assert (subset, pairs) == ([], {})
-    assert list(fib_subsets(5, 0)) == []
+    assert list(core_subsets(fib_members(5), 0)) == []
+    assert core([]) == () and list(core_subsets([], 3)) == []
+
+
+def recurrence_terms(x0, x1, p, q, limit):
+    """X_1, X_2, ... of X_n = p X_{n-1} - q X_{n-2}, up to limit."""
+    terms = set()
+    while x1 <= limit:
+        terms.add(x1)
+        x0, x1 = x1, p * x1 - q * x0
+    return terms
+
+
+@pytest.mark.parametrize("kind, universe, terms", [
+    # V(1, -1) over the rationals p/q, p <= 9, q <= 4: the core is not an
+    # interval and holds non-integers such as 3/2 and 7/4
+    (LUCAS_V, [Fraction(p, q) for p in range(1, 10) for q in range(1, 5)],
+     recurrence_terms(2, 1, 1, -1, 81)),
+    # U(3, 2) = 2^n - 1 over {1..40}
+    (LucasSpec(3, 2), range(1, 41), recurrence_terms(0, 1, 3, 2, 1600)),
+])
+def test_core_subsets_matches_brute_force_beyond_fibonacci(kind, universe, terms):
+    base = BaseSet(universe)
+    members = sequence_members(base, kind)
+    full = brute_pair_map(base.elements, terms)
+    elements = tuple(sorted({x for ps in full.values() for pair in ps for x in pair}))
+    assert core(members) == elements
+    for k in range(1, 5):
+        walked = [(tuple(subset), {v: list(ps) for v, ps in pairs.items()})
+                  for subset, pairs in core_subsets(members, k)]
+        assert [subset for subset, _ in walked] == sorted(
+            combo for size in range(1, k + 1) for combo in combinations(elements, size))
+        for subset, pairs in walked:
+            assert pairs == brute_pair_map(subset, terms), subset
 
 
 def recursive_fib_subsets(universe_max, max_size):
     """The core walk as recursive generators, one per depth: the reference
-    that fib_subsets' loop over an index stack must match step for step."""
-    core = fib_core(universe_max)
+    that core_subsets' loop over an index stack must match step for step."""
+    core = brute_core(universe_max)
     fib_set = brute_fib_set(universe_max * universe_max)
     partners = [tuple((y, x * y) for y in core[:i + 1] if x * y in fib_set)
                 for i, x in enumerate(core)]
@@ -133,11 +171,11 @@ def snapshots(walk):
 @pytest.mark.parametrize("universe_max, max_size", [(1, 1), (13, 3), (30, 5), (40, 4)])
 def test_fib_subsets_walks_like_the_recursive_reference(universe_max, max_size):
     steps = 0
-    for got, want in zip_longest(snapshots(fib_subsets(universe_max, max_size)),
+    for got, want in zip_longest(snapshots(core_subsets(fib_members(universe_max), max_size)),
                                  snapshots(recursive_fib_subsets(universe_max, max_size))):
         assert got == want, steps
         steps += 1
-    assert steps >= len(fib_core(universe_max))
+    assert steps >= len(brute_core(universe_max))
 
 
 def test_max_fib_count_matches_brute_force():
@@ -170,6 +208,24 @@ def test_max_fib_count_pads_with_smallest_inactive(values, monkeypatch):
                 if count > best_count:
                     best_count, best_combo = count, combo
             assert max_fib_count(n, k) == (best_count, BaseSet(best_combo)), (n, k)
+
+
+def test_one_member_scan_per_search(monkeypatch):
+    calls = []
+
+    def counted(base, kind):
+        calls.append(len(base))
+        return sequence_members(base, kind)
+
+    monkeypatch.setattr(extremal, "sequence_members", counted)
+    monkeypatch.setattr(acceptance, "sequence_members", counted)
+    for n, k in [(1, 1), (12, 3), (20, 4)]:
+        calls.clear()
+        max_fib_count(n, k)
+        assert calls == [n], (n, k)
+        calls.clear()
+        acceptance._acyclic_representations(n, k)
+        assert calls == [n], (n, k)
 
 
 def test_max_fib_count_trivial():

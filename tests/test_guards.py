@@ -26,8 +26,8 @@ GUARDS = {
     "MAX_TERM_BITS": (lambda: window_stats(PolynomialZ([0, 2**100]), 0, 5, ABOVE_R),
                       ["96 bits", "x = 1 has 101 bits"]),
     "MAX_POWER_BITS": (lambda: _beyond_power(10**6, 20, Fraction(1, 10**6)),
-                       ["1000000 bits", "gamma = 1/1000000", "r = 1000000",
-                        "R = 20 need 20000005 bits"]),
+                       ["1000000 bits", "numerator and denominator have 1 and 20 bits",
+                        "r = 1000000", "R = 20"]),
 }
 
 

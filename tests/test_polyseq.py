@@ -88,6 +88,8 @@ def test_poly_normalises_trailing_zeros():
         PolynomialZ([])
     with pytest.raises(ValueError):
         PolynomialZ([5]).derivative()
+    with pytest.raises(TypeError):
+        PolynomialZ([1.5])
 
 
 def test_discriminant_examples():

@@ -1,11 +1,12 @@
 """resultant and discriminant against sympy for every degree pair up to 4,
 the cubic irreducibility screen against sympy on 61-bit constant terms, and
 the per-factor factoring of witness windows against sympy and against
-factoring each term whole, and that a factor value recurring in a window is
-factored once."""
+factoring each term whole, that a factor value recurring in a window is
+factored once, and the witness bound against the exact minimum |B|."""
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
@@ -151,3 +152,69 @@ def test_each_factor_value_is_factored_once_per_window(monkeypatch):
     assert len(staged) == 44 == len(set(staged))
     monkeypatch.setattr(polyseq, "_factor_window", whole_product_factors)
     assert report == window_witness(factors, 1000, 30, 2)
+
+
+def divisor_pairs(t):
+    return [(a, t // a) for a in range(1, math.isqrt(t) + 1) if t % a == 0]
+
+
+def min_base_size(terms):
+    """The least |B| with every term in B.B, by branch and bound.  Each
+    element of a minimal B is in a divisor pair of some term (any other can
+    go), so a node covers its least-covered open term by each of that term's
+    pairs in turn; m new elements next to s old ones give at most
+    s*m + m(m+1)/2 new products, which bounds the elements still needed."""
+    terms = sorted(set(terms))
+    options = {t: divisor_pairs(t) for t in terms}
+    best = len(terms) + 1          # {1} and every term
+    seen = set()
+
+    def search(base):
+        nonlocal best
+        if base in seen:
+            return
+        seen.add(base)
+        open_terms = [t for t in terms
+                      if not any(a in base and b in base for a, b in options[t])]
+        if not open_terms:
+            best = min(best, len(base))
+            return
+        s, m = len(base), 1
+        while m * s + m * (m + 1) // 2 < len(open_terms):
+            m += 1
+        if s + m >= best:
+            return
+        t = min(open_terms, key=lambda t: len(options[t]))
+        for a, b in sorted(options[t], key=lambda pair: len(set(pair) - base)):
+            search(base | {a, b})
+
+    search(frozenset())
+    return best
+
+
+@pytest.mark.parametrize("coeffs, r", [([1, 0, 1], 0), ([1, 0, 1], 7), ([1, 1], 0),
+                                       ([1, 1], 30), ([0, 1, 1], 3), ([1, 0, 0, 1], 2)])
+def test_min_base_size_matches_subset_search(coeffs, r):
+    # every subset of the terms' divisors, smallest first, on 5-term windows
+    f = PolynomialZ(coeffs)
+    terms = {f(r + i) for i in range(1, 6)}
+    divisors = sorted({d for t in terms for pair in divisor_pairs(t) for d in pair})
+    exhaustive = next(size for size in range(1, len(divisors) + 1)
+                      if any(all(any(a in base and b in base for a, b in divisor_pairs(t))
+                                 for t in terms)
+                             for base in map(set, combinations(divisors, size))))
+    assert min_base_size(terms) == exhaustive
+
+
+@pytest.mark.parametrize("coeffs, r, R, case, bound, minimum", [
+    ([1, 0, 1], 0, 18, 1, 5, 15),
+    ([1, 0, 1], 100, 16, 1, 9, 17),
+    ([1, 1], 1000, 14, 2, 7, 15),
+    ([1, 1], 0, 16, 3, 2, 9),
+])
+def test_witness_bound_is_at_most_the_least_base(coeffs, r, R, case, bound, minimum):
+    f = PolynomialZ(coeffs)
+    report = window_witness([f], r, R)
+    assert (report.case, report.b_lower_bound) == (case, bound)
+    least = min_base_size([f(r + i) for i in range(1, R + 1)])
+    assert report.b_lower_bound <= least == minimum
