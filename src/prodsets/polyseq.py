@@ -18,7 +18,6 @@ from .arith import (
     crt_solve,
     factorize,
     factorize_batch,
-    is_perfect_square,
 )
 from .coverlemma import Bipartite, cover_sequence
 
@@ -144,54 +143,54 @@ def content_d(f: PolynomialZ) -> int:
 # ---------------------------------------------------------------------------
 
 def _hold_setup_value(name: str, n: int) -> None:
-    """Hold a value the set-up factors to MAX_TERM_BITS, as window terms are."""
+    """Hold a set-up value to MAX_TERM_BITS, as window terms are."""
     if n.bit_length() > MAX_TERM_BITS:
         raise DeskScaleError(f"set-up values capped at {MAX_TERM_BITS} bits "
                              f"(MAX_TERM_BITS); the {name} has {n.bit_length()} bits")
 
 
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in factorize(n).factors:
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def _has_rational_root(f: PolynomialZ) -> bool:
-    a0 = f.coeffs[0]
-    if a0 == 0:
-        return True
-    n = f.degree
-    _hold_setup_value("constant term", a0)         # both before either is factored
-    _hold_setup_value("leading coefficient", f.leading)
-    leading_divisors = _divisors(abs(f.leading))
-    for p in _divisors(abs(a0)):
-        for q in leading_divisors:
-            if math.gcd(p, q) != 1:
-                continue
-            for num in (p, -p):
-                if sum(c * num**i * q ** (n - i) for i, c in enumerate(f.coeffs)) == 0:
-                    return True
+    """Exact rational-root test for degree 2 or 3 that factors nothing.
+
+    A root p/q in lowest terms has q | lead, so y = lead*p/q is an integer
+    root of the monic g(y) = lead^(n-1) f(y/lead).  Every real root of g lies
+    within the Cauchy bound 1 + max|g_k|, and g is monotone on the integers
+    between the floors of the roots of g', so each stretch is bisected once.
+    """
+    n, lead = f.degree, f.leading
+    g = PolynomialZ([c * lead ** (n - 1 - i) for i, c in enumerate(f.coeffs[:-1])] + [1])
+    bound = 1 + max(abs(c) for c in g.coeffs[:-1])
+    if n == 2:
+        cuts = [-g.coeffs[1] // 2]
+    else:
+        g1, g2 = g.coeffs[1:3]
+        disc = g2 * g2 - 3 * g1        # g' = 3y^2 + 2*g2*y + g1
+        s = math.isqrt(max(disc, 0))
+        cuts = [(-g2 - s - (s * s < disc)) // 3, (-g2 + s) // 3] if disc >= 0 else []
+    # an empty stretch (lo > hi) only tests g(lo) == 0, which is still sound
+    for lo, hi in zip([-bound, *(k + 1 for k in cuts)], [*cuts, bound]):
+        sign = 1 if g(lo) <= g(hi) else -1
+        while lo < hi:                 # the least y with sign * g(y) >= 0
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if sign * g(mid) < 0 else (lo, mid)
+        if g(lo) == 0:
+            return True
     return False
 
 
 def check_irreducible(f: PolynomialZ) -> None:
     """Reject certifiably reducible polynomials.
 
-    Complete for degree <= 3 (square discriminant / rational-root tests);
-    higher degrees are taken on the caller's word.
+    Complete for degree <= 3, where a factor means a rational root; higher
+    degrees are taken on the caller's word.
     """
     n = f.degree
-    if n <= 1:
-        return
-    if n == 2:
-        disc = discriminant(f)
-        if disc >= 0 and is_perfect_square(disc):
-            raise ValueError("quadratic splits over the rationals")
-        return
-    if n == 3:
-        if _has_rational_root(f):
-            raise ValueError("cubic has a rational root")
+    if n == 3 and f.coeffs[0]:         # input range; x | f is reported as a root
+        _hold_setup_value("constant term", f.coeffs[0])
+        _hold_setup_value("leading coefficient", f.leading)
+    if n in (2, 3) and _has_rational_root(f):
+        raise ValueError("quadratic splits over the rationals" if n == 2
+                         else "cubic has a rational root")
 
 
 # ---------------------------------------------------------------------------

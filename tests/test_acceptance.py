@@ -10,7 +10,7 @@ from itertools import combinations, product
 
 import pytest
 
-from prodsets import acceptance, auxgraph, coverlemma, extremal
+from prodsets import acceptance, arith, auxgraph, coverlemma, extremal
 
 
 @pytest.mark.parametrize("name,check", acceptance.CHECKS,
@@ -18,6 +18,15 @@ from prodsets import acceptance, auxgraph, coverlemma, extremal
 def test_acceptance(name, check):
     detail = check()   # raises CheckFailure on violation
     print(f"PASS {name}: {detail}")
+
+
+def test_selftest_never_builds_the_medium_primorial(capsys):
+    # the README's promise: selftest's window terms stay below 2^20, so the
+    # product of the primes in (2^10, 2^16] is never built
+    arith._medium_primorial.cache_clear()
+    assert acceptance.run_all()
+    capsys.readouterr()
+    assert arith._medium_primorial.cache_info().currsize == 0
 
 
 def test_acyclic_check_reports_a_cycle(monkeypatch):

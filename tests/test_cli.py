@@ -220,7 +220,7 @@ def test_witness_json_fields(capsys):
 
 
 def test_witness_on_a_cubic_with_a_61_bit_constant_term(capsys):
-    # the rational-root screen lists the divisors of 10^18 + 3
+    # the rational-root screen bisects y^3 + 10^18 + 3 over a 60-bit range
     code, out, _ = run_cli(["witness", "--poly-factors", "1000000000000000003,0,0,1",
                             "--r", "0", "--R", "5"], capsys)
     assert code == 0
@@ -311,3 +311,15 @@ def test_written_files_get_the_mode_open_would_give(argv, capsys, tmp_path, umas
     assert run_cli(argv + [str(target)], capsys)[0] == 0
     assert stat.S_IMODE(target.stat().st_mode) == 0o640
     assert os.listdir(tmp_path) == ["report"]   # no temporary file left
+
+
+def test_out_onto_a_directory_exits_two_and_leaves_it_as_it_was(capsys, tmp_path):
+    target = tmp_path / "report"
+    target.mkdir()
+    (target / "kept.txt").write_text("kept\n")
+    code, out, err = run_cli(["fib-extremal", "--universe", "5", "--size", "2",
+                              "--out", str(target)], capsys)
+    assert (code, out) == (2, "") and "error:" in err
+    assert os.listdir(target) == ["kept.txt"]
+    assert (target / "kept.txt").read_text() == "kept\n"
+    assert os.listdir(tmp_path) == ["report"]   # the temporary file is removed

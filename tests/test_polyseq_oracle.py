@@ -1,10 +1,13 @@
 """resultant and discriminant against sympy for every degree pair up to 4,
-the cubic irreducibility screen against sympy on 61-bit constant terms, and
-the per-factor factoring of witness windows against sympy and against
+the rational-root screen of quadratics and cubics against sympy's factor
+lists, the per-factor factoring of witness windows against sympy and against
 factoring each term whole, that a factor value recurring in a window is
-factored once, and the witness bound against the exact minimum |B|."""
+factored once, and the witness bound against the exact minimum |B|, on
+pinned windows and on a seeded sweep of degrees 1 to 3."""
 
 import math
+import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,7 +15,7 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
-from prodsets import arith, polyseq
+from prodsets import arith, cli, polyseq
 from prodsets.arith import factorize, factorize_batch
 from prodsets.polyseq import (
     PolynomialZ,
@@ -83,6 +86,75 @@ def test_cubic_irreducibility_screen_matches_sympy(f):
     except ValueError:
         accepted = False
     assert accepted == as_sympy(f).is_irreducible
+
+
+def times(f, g):
+    """The product of two coefficient lists, constant term first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+COEFF = st.one_of(st.integers(-9, 9), st.integers(-2**60, 2**60))
+LEAD = COEFF.filter(bool)
+# (q, p) for the root p/q of q x - p, with q > 1 drawn as often as q = 1
+ROOT = st.tuples(st.one_of(st.just(1), st.integers(2, 2**20)), st.integers(-2**20, 2**20))
+
+
+def linear(root):
+    q, p = root
+    return [-p, q]
+
+
+# every constant term and leading coefficient stays within MAX_TERM_BITS
+SCREENED = st.one_of(
+    # drawn whole, leading coefficient included
+    st.builds(lambda lower, lead: lower + [lead], st.lists(COEFF, min_size=2, max_size=3), LEAD),
+    # a rational root times a drawn linear or quadratic cofactor
+    st.builds(lambda root, lower, lead: times(linear(root), lower + [lead]),
+              ROOT, st.lists(COEFF, min_size=1, max_size=2), LEAD),
+    # double and triple roots: c (qx - p)^2, c (qx - p)^2 (q'x - p'), c (qx - p)^3
+    ROOT.flatmap(lambda root: st.builds(
+        lambda c, rest: times([c], times(times(linear(root), linear(root)), rest)),
+        st.integers(-9, 9).filter(bool),
+        st.sampled_from([[1], linear(root)]) | ROOT.map(linear))),
+)
+
+
+@settings(ORACLE, max_examples=200)
+@given(SCREENED)
+@example([-8, 36, -54, 27])            # (3x - 2)^3
+@example([25, 20, 4])                  # (2x + 5)^2
+@example([0, 0, 0, 1])                 # x^3
+@example([1, 0, -1])                   # 1 - x^2, negative leading coefficient
+@example([-12, -11, 1, 2])             # (2x + 3)(x^2 - x - 4): root -3/2 next to a turn
+@example([32589158477190044730, 0, 0, 7858321551080267055879090])   # 53# + 67# x^3
+def test_rational_root_screen_matches_sympy(coeffs):
+    f = PolynomialZ(coeffs)
+    assume(f.degree in (2, 3))
+    splits = any(g.degree() == 1 for g, _ in as_sympy(f).factor_list()[1])
+    try:
+        check_irreducible(f)
+    except ValueError as raised:
+        assert splits, f
+        expected = "quadratic splits" if f.degree == 2 else "cubic has a rational root"
+        assert expected in str(raised)
+    else:
+        assert not splits, f
+
+
+def test_rational_root_screen_lists_no_divisors(capsys):
+    # a0 = 67# and lead = 53#, 83 and 65 bits: 2^19 x 2^16 divisor pairs
+    # (p, q), too many to try one by one
+    a0, lead = 7858321551080267055879090, 32589158477190044730
+    assert as_sympy(PolynomialZ([a0, 0, 0, lead])).is_irreducible
+    start = time.perf_counter()
+    code = cli.main(["witness", f"--poly-factors={a0},0,0,{lead}", "--r", "0", "--R", "1"])
+    elapsed = time.perf_counter() - start
+    assert code == 0 and '"case": 1' in capsys.readouterr().out
+    assert elapsed < 1, elapsed
 
 
 # --- per-factor window factoring ---------------------------------------------
@@ -218,3 +290,32 @@ def test_witness_bound_is_at_most_the_least_base(coeffs, r, R, case, bound, mini
     assert (report.case, report.b_lower_bound) == (case, bound)
     least = min_base_size([f(r + i) for i in range(1, R + 1)])
     assert report.b_lower_bound <= least == minimum
+
+
+def sweep_windows(count, seed=20):
+    """Windows (f, r, R) of irreducible f of degree 1 to 3 with small
+    coefficients, drawn with a fixed seed.  A linear f sits at r on either
+    side of R^2, so the default gamma = 2 gives cases 2 and 3 as well as 1."""
+    rng = random.Random(seed)
+    while count:
+        degree = rng.choice([1, 1, 2, 3])
+        f = PolynomialZ([rng.randint(0, 5) for _ in range(degree)] + [rng.randint(1, 2)])
+        R = rng.randint(4, 10)
+        r = (rng.choice([rng.randint(0, R * R), rng.randint(R * R + 1, 200)])
+             if degree == 1 else rng.randint(0, 20))
+        try:
+            check_irreducible(f)
+        except ValueError:
+            continue
+        count -= 1
+        yield f, r, R
+
+
+def test_witness_bound_is_at_most_the_least_base_on_a_sweep():
+    cases = set()
+    for f, r, R in sweep_windows(40):
+        report = window_witness([f], r, R)
+        cases.add(report.case)
+        assert report.b_lower_bound <= min_base_size([f(r + i) for i in range(1, R + 1)]), \
+            (f, r, R)
+    assert cases == {1, 2, 3}
