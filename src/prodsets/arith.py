@@ -1,11 +1,12 @@
-"""Exact integer arithmetic: primality, factorization, sieves, CRT.
+"""Exact integer arithmetic: primality, factorization, a sieve, CRT.
 
 Everything works on arbitrary-precision Python ints and is exact.  All
 functions are pure; the only shared state is two constant prime tables: the
 trial-division primes and their product, built at import, and the product of
 the primes in (2^10, 2^16], built on the first ``factorize_batch`` call that
-needs it.  ``factorize`` proves each prime once: trial division proves those
-below 2^20, Miller-Rabin (``is_prime``) each larger one; ``factorize_batch``
+needs it.  ``factorize`` tests each prime once: trial division proves those
+below 2^20, Miller-Rabin (``is_prime``) larger ones below psi_13 ~ 3.3e24,
+and above it Baillie-PSW, a probable-prime test, passes them; ``factorize_batch``
 also proves those below 2^32 without a test.
 """
 
@@ -29,20 +30,24 @@ TRIAL_DIVISION_LIMIT = 2**10
 # factorize_batch strips the primes up to this with remainder trees over the
 # batch; the least composite with no prime factor up to it is 65537^2 > 2^32
 _MEDIUM_PRIME_LIMIT = 2**16
-PRIME_RANGE_LIMIT = 10**8     # segmented-sieve guard for primes_in_range
+PRIME_RANGE_LIMIT = 10**8     # primes_in_range sieves one byte per candidate
+
+
+def _sieve(left: int, hi: int) -> list[int]:
+    """All primes in [left, hi], left >= 2 (sieve of Eratosthenes): one byte
+    window crossed off with the primes up to isqrt(hi), sieved the same way."""
+    if left > hi:
+        return []
+    flags = bytearray([1]) * (hi - left + 1)
+    for p in _sieve(2, math.isqrt(hi)):
+        first = max(p * p, -(-left // p) * p)   # past hi: an empty slice
+        flags[first - left::p] = b"\x00" * ((hi - first) // p + 1)
+    return list(itertools.compress(range(left, hi + 1), flags))
 
 
 def primes_upto(n: int) -> list[int]:
-    """All primes <= n (byte sieve of Eratosthenes)."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            start = i * i
-            sieve[start::i] = b"\x00" * ((n - start) // i + 1)
-    return list(itertools.compress(range(n + 1), sieve))
+    """All primes <= n."""
+    return _sieve(2, n)
 
 
 _TRIAL_PRIMES = tuple(primes_upto(TRIAL_DIVISION_LIMIT))
@@ -53,7 +58,7 @@ _PRIMORIAL = math.prod(_TRIAL_PRIMES)   # gcd(n, _PRIMORIAL): the trial primes d
 # Primality
 # ---------------------------------------------------------------------------
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIMES = _TRIAL_PRIMES[:13]   # 2..41
 # (psi_k, k): below psi_k the first k primes are a proven deterministic
 # Miller-Rabin witness set, psi_k being the least odd composite that is a
 # strong pseudoprime to all of them (OEIS A014233; Jaeschke 1993,
@@ -405,31 +410,13 @@ def factorize_batch(values: Iterable[int]) -> dict[int, Factorization]:
 
 
 def primes_in_range(lo_exclusive: int, hi_inclusive: int) -> list[int]:
-    """All primes p with lo < p <= hi, ascending (segmented sieve)."""
+    """All primes p with lo < p <= hi, ascending."""
     if lo_exclusive >= hi_inclusive:
         raise ValueError("need lo_exclusive < hi_inclusive")
     if hi_inclusive > PRIME_RANGE_LIMIT:
         raise DeskScaleError(f"prime ranges capped at {PRIME_RANGE_LIMIT} "
                              f"(PRIME_RANGE_LIMIT); got hi = {hi_inclusive}")
-    hi = hi_inclusive
-    if hi < 2:
-        return []
-    base = primes_upto(math.isqrt(hi))
-    out: list[int] = []
-    segment = 1 << 16
-    start = max(lo_exclusive + 1, 2)
-    for left in range(start, hi + 1, segment):
-        right = min(left + segment - 1, hi)
-        flags = bytearray([1]) * (right - left + 1)
-        for p in base:
-            if p * p > right:
-                break
-            first = max(p * p, ((left + p - 1) // p) * p)
-            if first > right:
-                continue
-            flags[first - left :: p] = b"\x00" * ((right - first) // p + 1)
-        out.extend(left + i for i, f in enumerate(flags) if f)
-    return out
+    return _sieve(max(lo_exclusive + 1, 2), hi_inclusive)
 
 
 # ---------------------------------------------------------------------------

@@ -60,8 +60,12 @@ def _parse_seq(text: str):
     if text == "lucasV":
         return sequences.LUCAS_V
     if text.startswith("lucasU:"):
-        p_str, q_str = text[len("lucasU:"):].split(",")
-        return sequences.LucasSpec(int(p_str), int(q_str))
+        try:
+            p, q = map(int, text[len("lucasU:"):].split(","))
+        except ValueError:
+            pass
+        else:
+            return sequences.LucasSpec(p, q)
     raise ValueError(f"unknown sequence: {text!r} (use fib, lucasV or lucasU:P,Q)")
 
 
@@ -76,15 +80,18 @@ def _write_atomic(path: str, text: str) -> None:
         os.umask(umask)
         mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.chmod(tmp, mode)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.chmod(tmp, mode)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:             # name the path asked for, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _print_json(payload: dict, out: str | None = None) -> None:

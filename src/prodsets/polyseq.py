@@ -207,8 +207,11 @@ def admissible_residue(f: PolynomialZ) -> tuple[int, int]:
     if f.degree < 2:
         raise ValueError("admissible residues need degree >= 2")
     check_irreducible(f)
+    disc = discriminant(f)
+    if disc == 0:                      # M = 0 would leave nothing to factor
+        raise ValueError("polynomial has a repeated factor (discriminant 0)")
     d = content_d(f)
-    modulus = abs(discriminant(f)) * d * d
+    modulus = abs(disc) * d * d
     _hold_setup_value("residue modulus |disc| * d^2", modulus)
     # The scan always finds a residue, and one <= deg f: g = f/d has value
     # content 1, so p does not divide g(x) for some x in 0..deg f; and

@@ -10,9 +10,13 @@ trial primes, every trial prime, and primes on both sides of 2^10.  The
 medium stage of factorize_batch is checked against sympy and against
 factorize of each value, at the primes on both sides of 2^10 and 2^16 and
 at the 2^32 bound below which it takes a factor as prime without a test.
+The sieve behind primes_upto and primes_in_range is checked against sympy's
+primerange on ranges below 2, across 2^16 and narrow ones above 10^7.
 """
 
 import math
+import random
+import time
 
 import pytest
 import sympy
@@ -30,6 +34,7 @@ from prodsets.arith import (
     factorize,
     factorize_batch,
     is_prime,
+    primes_in_range,
     primes_upto,
 )
 
@@ -103,9 +108,34 @@ def test_factorize_primes_around_the_trial_limit(prime_powers, cofactor):
     assert_matches_oracle(math.prod(p**e for p, e in prime_powers) * cofactor)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 1024, 2**16])
+@pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 1024, 2**16])
 def test_primes_upto_matches_sympy(n):
     assert primes_upto(n) == list(sympy.primerange(n + 1))
+
+
+def sieve_ranges(rng):
+    """(lo, hi] ranges with lo < 0, with hi < 2, across 2^16 and narrow
+    ones above 10^7."""
+    for _ in range(20):
+        lo = rng.randrange(-50, 0)
+        yield lo, rng.randrange(lo + 1, 100)
+        yield lo, rng.randrange(lo + 1, 2)
+        lo = rng.randrange(2**16 - 5000, 2**16)
+        yield lo, rng.randrange(2**16 + 1, 2**16 + 5000)
+        lo = rng.randrange(10**7, 10**8 - 1000)
+        yield lo, lo + rng.randrange(1, 1000)
+
+
+def test_primes_in_range_matches_sympy():
+    for lo, hi in sieve_ranges(random.Random(21)):
+        assert primes_in_range(lo, hi) == list(sympy.primerange(lo + 1, hi + 1)), (lo, hi)
+
+
+def test_a_narrow_range_below_the_cap_sieves_only_its_window():
+    start = time.perf_counter()
+    primes = primes_in_range(10**8 - 1000, 10**8)
+    assert time.perf_counter() - start < 0.1
+    assert primes == list(sympy.primerange(10**8 - 999, 10**8 + 1))
 
 
 def test_medium_primorial_is_the_product_of_the_medium_primes():

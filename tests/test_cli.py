@@ -115,6 +115,15 @@ def test_bad_flags_exit_two(capsys):
      "window length must be >= 1"),
     (["window", "--poly", "1,0,1", "--r", "-1", "--R", "5", "--filter", "above"],
      "r must be >= 0"),
+    (["window", "--poly", "1,0,2,0,1", "--r", "0", "--R", "5", "--filter", "above",
+      "--residue", "auto"], "polynomial has a repeated factor (discriminant 0)"),
+    (["lucas-bound", "--set", "1,2", "--seq", "lucasU:1,2,3"],
+     "unknown sequence: 'lucasU:1,2,3' (use fib, lucasV or lucasU:P,Q)"),
+    (["lucas-bound", "--set", "1,2", "--seq", "lucasU:"],
+     "unknown sequence: 'lucasU:' (use fib, lucasV or lucasU:P,Q)"),
+    (["lucas-bound", "--set", "1,2", "--seq", "lucasU:a,b"],
+     "unknown sequence: 'lucasU:a,b' (use fib, lucasV or lucasU:P,Q)"),
+    (["lucas-bound", "--set", "1,2", "--seq", "lucasU:2,4"], "P and Q must be coprime"),
 ])
 def test_bad_values_exit_two(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -320,6 +329,17 @@ def test_out_onto_a_directory_exits_two_and_leaves_it_as_it_was(capsys, tmp_path
     code, out, err = run_cli(["fib-extremal", "--universe", "5", "--size", "2",
                               "--out", str(target)], capsys)
     assert (code, out) == (2, "") and "error:" in err
+    assert err == f"error: [Errno 21] Is a directory: {str(target)!r}\n"   # not the temporary file
     assert os.listdir(target) == ["kept.txt"]
     assert (target / "kept.txt").read_text() == "kept\n"
     assert os.listdir(tmp_path) == ["report"]   # the temporary file is removed
+
+
+@pytest.mark.parametrize("argv", [["fib-extremal", "--universe", "5", "--size", "2", "--out"],
+                                  ["graph", "--set", "1,2", "--seq", "fib", "--dump"]])
+def test_out_into_a_missing_directory_exits_two_naming_the_path(argv, capsys, tmp_path):
+    target = tmp_path / "missing" / "report"
+    code, out, err = run_cli(argv + [str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+    assert os.listdir(tmp_path) == []

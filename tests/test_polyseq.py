@@ -165,6 +165,8 @@ def test_admissible_residue_examples():
         admissible_residue(PolynomialZ([7, 3]))          # degree too small
     with pytest.raises(ValueError):
         admissible_residue(PolynomialZ([-1, 0, 1]))      # reducible
+    with pytest.raises(ValueError, match=r"repeated factor \(discriminant 0\)"):
+        admissible_residue(PolynomialZ([1, 0, 2, 0, 1]))  # (x^2+1)^2: M = 0
 
 
 @pytest.mark.parametrize("coeffs", [
