@@ -9,11 +9,11 @@ inputs.  Exit codes: 0 ok, 1 selftest violation, 2 bad flags or values,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import stat
 import sys
-import tempfile
 from fractions import Fraction
 
 from . import acceptance, auxgraph, extremal, polyseq, sequences
@@ -70,23 +70,29 @@ def _parse_seq(text: str):
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """Write through a temporary file renamed into place.  The file gets the
-    mode open(path, "w") would give it: its own if it exists, else 0o666
-    less the umask (mkstemp creates it 0o600)."""
+    """Write through a temporary file renamed onto the real target, so a
+    symlink is written through.  The file gets the mode open(path, "w") would
+    give it: its own if it exists, else 0o666 less the umask, which os.open
+    applies.  A target that is neither a regular file nor a directory (a
+    FIFO, a device) is refused before any temporary file is made."""
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        if not path:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
+        real = os.path.realpath(path)
+        try:
+            mode = os.stat(real).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+            raise ValueError(f"not a regular file: {path!r}")
+        tmp = os.path.join(os.path.dirname(real), f".tmp-{os.urandom(8).hex()}")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
-            os.chmod(tmp, mode)
-            os.replace(tmp, path)
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+            os.replace(tmp, real)
         except BaseException:
             os.unlink(tmp)
             raise
@@ -97,7 +103,7 @@ def _write_atomic(path: str, text: str) -> None:
 def _print_json(payload: dict, out: str | None = None) -> None:
     """Print the report; with ``out``, also write it there atomically."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
+    if out is not None:
         _write_atomic(out, text)
     print(text, end="")
 
@@ -128,7 +134,7 @@ def _cmd_graph(args) -> int:
     members = sequence_members(base, kind)
     graph = auxgraph.build_aux_graph(base, members, args.mode)
     report = auxgraph.edge_bound_report(graph)
-    if args.dump:
+    if args.dump is not None:
         _write_atomic(args.dump, auxgraph.dump_edges_csv(graph))
     _print_json(vars(report) | {
         "cycle": None if report.cycle is None else [str(v) for v in report.cycle],
@@ -141,7 +147,7 @@ def _cmd_window(args) -> int:
     stats = polyseq.window_stats(_parse_poly(args.poly), args.r, args.R, args.filter,
                                  admissible=args.residue == "auto")
     csv_text = polyseq.window_stats_csv(stats)
-    if args.out:
+    if args.out is not None:
         _write_atomic(args.out, csv_text)
         summary = {k: v for k, v in vars(stats).items() if k != "records"}
         _print_json(summary | {"terms": len(stats.records), "out": args.out})

@@ -73,45 +73,31 @@ class PolynomialZ:
 # Resultants, discriminant, content
 # ---------------------------------------------------------------------------
 
-def _det_bareiss(matrix: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    mat = [row[:] for row in matrix]
-    n = len(mat)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if mat[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            mat[k], mat[pivot] = mat[pivot], mat[k]
-            sign = -sign
-        pivot_value = mat[k][k]
-        for i in range(k + 1, n):
-            factor = mat[i][k]
-            row_i, row_k = mat[i], mat[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot_value - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot_value
-    return sign * mat[-1][-1]
-
-
 def resultant(f: PolynomialZ, g: PolynomialZ) -> int:
-    """Resultant of f and g via the Sylvester matrix (Bareiss elimination)."""
-    m, n = f.degree, g.degree
-    if m == 0:
-        return f.leading**n
-    if n == 0:
-        return g.leading**m
-    fd = list(reversed(f.coeffs))
-    gd = list(reversed(g.coeffs))
-    rows = []
-    for i in range(n):
-        rows.append([0] * i + fd + [0] * (n - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + gd + [0] * (m - 1 - i))
-    return _det_bareiss(rows)
+    """Resultant of f and g by the Euclidean remainder sequence over the
+    rationals: Res(a, b) = (-1)^(mn) lead(b)^(m-k) Res(b, a mod b) with
+    m, n, k the degrees of a, b, a mod b, and Res(a, c) = c^m for a constant
+    c (Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
+    1993, ch. 3)."""
+    a = [Fraction(c) for c in f.coeffs]
+    b = [Fraction(c) for c in g.coeffs]
+    factor = Fraction(1)
+    while len(b) > 1:
+        m, n = len(a) - 1, len(b) - 1
+        rem = a[:]
+        for i in range(m - n, -1, -1):
+            q = rem[i + n] / b[-1]
+            rem[i:i + n + 1] = [r - q * c for r, c in zip(rem[i:], b)]
+        while rem and not rem[-1]:      # a mod b: the top m - n + 1 entries are 0
+            rem.pop()
+        if not rem:
+            return 0
+        factor *= (-1) ** (m * n) * b[-1] ** (m - len(rem) + 1)
+        a, b = b, rem
+    result = factor * b[0] ** (len(a) - 1)
+    if result.denominator != 1:
+        raise ArithmeticError("resultant is not an integer")
+    return result.numerator
 
 
 def discriminant(f: PolynomialZ) -> int:

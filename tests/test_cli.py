@@ -124,6 +124,13 @@ def test_bad_flags_exit_two(capsys):
     (["lucas-bound", "--set", "1,2", "--seq", "lucasU:a,b"],
      "unknown sequence: 'lucasU:a,b' (use fib, lucasV or lucasU:P,Q)"),
     (["lucas-bound", "--set", "1,2", "--seq", "lucasU:2,4"], "P and Q must be coprime"),
+    # an empty path fails as open("", "w") does, before any report is printed
+    (["fib-extremal", "--universe", "5", "--size", "2", "--out", ""],
+     "[Errno 2] No such file or directory: ''"),
+    (["window", "--poly", "0,1", "--r", "0", "--R", "10", "--filter", "mid", "--out", ""],
+     "[Errno 2] No such file or directory: ''"),
+    (["graph", "--set", "1,2", "--seq", "fib", "--dump", ""],
+     "[Errno 2] No such file or directory: ''"),
 ])
 def test_bad_values_exit_two(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -343,3 +350,72 @@ def test_out_into_a_missing_directory_exits_two_naming_the_path(argv, capsys, tm
     assert (code, out) == (2, "")
     assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
     assert os.listdir(tmp_path) == []
+
+
+WRITERS = [
+    ["fib-extremal", "--universe", "7", "--size", "2", "--out"],
+    ["window", "--poly", "0,1", "--r", "0", "--R", "10", "--filter", "mid", "--out"],
+    ["graph", "--set", "1,2,3", "--seq", "fib", "--dump"],
+]
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=[argv[0] for argv in WRITERS])
+def test_out_writes_through_a_symlink(argv, capsys, tmp_path):
+    (tmp_path / "links").mkdir()
+    (tmp_path / "targets").mkdir()
+    target = tmp_path / "targets" / "report"
+    link = tmp_path / "links" / "report"
+    os.symlink(os.path.join("..", "targets", "report"), link)
+    assert run_cli(argv + [str(link)], capsys)[0] == 0     # a dangling link: a new target
+    first = target.read_text()
+    target.write_text("old\n")
+    assert run_cli(argv + [str(link)], capsys)[0] == 0     # an existing target
+    assert link.is_symlink() and target.read_text() == first
+    # the temporary file was made beside the target and renamed onto it
+    assert os.listdir(tmp_path / "links") == os.listdir(tmp_path / "targets") == ["report"]
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=[argv[0] for argv in WRITERS])
+@pytest.mark.parametrize("via_link", [False, True], ids=["fifo", "link-to-fifo"])
+def test_out_onto_a_fifo_exits_two_and_leaves_it(argv, via_link, capsys, tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    path = tmp_path / "link" if via_link else fifo
+    if via_link:
+        os.symlink("pipe", path)
+    code, out, err = run_cli(argv + [str(path)], capsys)
+    assert (code, out, err) == (2, "", f"error: not a regular file: {str(path)!r}\n")
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == sorted({"pipe", path.name})
+
+
+def test_a_new_file_gets_0o666_less_the_umask_without_reading_it(capsys, tmp_path,
+                                                                  monkeypatch):
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+
+    old = os.umask(0o027)
+    monkeypatch.setattr(os, "umask", no_umask)
+    try:
+        for argv in WRITERS:
+            target = tmp_path / argv[0]
+            assert run_cli(argv + [str(target)], capsys)[0] == 0
+            assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+
+
+def test_a_negative_coefficient_list_is_joined_to_its_flag(capsys):
+    # argparse reads "-1,0,1" after a space as a flag, so the value is missing
+    argv = ["--r", "1000", "--R", "20"]
+    with pytest.raises(SystemExit) as info:
+        cli.main(["witness", "--poly-factors", "-1,0,1"] + argv)
+    assert info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    code, out, err = run_cli(["witness", "--poly-factors=-1,0,1"] + argv, capsys)
+    assert (code, out) == (2, "")
+    assert "quadratic splits over the rationals" in err
+    code, out, _ = run_cli(["window", "--poly=-1,0,1", "--r", "1", "--R", "2",
+                            "--filter", "above"], capsys)
+    assert (code, out) == (0, "i,value,largest_prime_factor,qualifies\n1,3,3,true\n2,8,2,false\n")

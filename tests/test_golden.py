@@ -22,8 +22,10 @@ edge dump.  The two ``lucasU:1,-1`` graph entries were recorded while
 ``fib`` still had its own string marker; they equal the ``fib`` entries for
 the same set.  The ``selftest`` and ``fib-extremal`` entries were recorded from
 the walk over every subset of ``{1..N}``; at universe 6, size 6 the witness
-holds 6, which pairs with no element into a Fibonacci value.  Commands run
-in a scratch directory so the ``out`` path echoed in JSON is fixed.
+holds 6, which pairs with no element into a Fibonacci value.  The ``cover``
+entries were recorded from the greedy pass that lowers the degree bound by
+one per repeat; each writes its graph file first.  Commands run in a scratch
+directory so the ``out`` path echoed in JSON is fixed.
 """
 
 import contextlib
@@ -133,6 +135,19 @@ CORPUS = [
     ("fib-extremal-7-6", ["fib-extremal", "--universe", "7", "--size", "6"]),
     ("fib-extremal-12-5", ["fib-extremal", "--universe", "12", "--size", "5"]),
     ("fib-extremal-6-6", ["fib-extremal", "--universe", "6", "--size", "6"]),
+]
+
+# (name, graph file) for ``cover --graph graph.txt``
+COVER_CORPUS = [
+    ("cover-path", "b1 a1\nb2 a1 a2\nb3 a2\n"),
+    ("cover-comments-repeated-neighbours",
+     "# b a1 a2 ...\nb1 a1 a1 a2\n\n  # indented\nb2 a2 a3\n\t\nb3 a3 a1\nb4 a4\n"),
+    ("cover-empty", ""),
+    ("cover-descent-40", "".join(f"u{i} a1 a2\n" for i in range(40)) + "p1 a1\np2 a2\n"),
+    # each composite n in 4..120 next to its divisors in (1, n)
+    ("cover-proper-divisors-120", "".join(
+        f"{n} " + " ".join(str(d) for d in range(2, n) if n % d == 0) + "\n"
+        for n in range(4, 121) if any(n % d == 0 for d in range(2, n)))),
 ]
 
 # sha256 of (stdout, --out file) per corpus entry, from the reference run
@@ -253,6 +268,16 @@ REFERENCE = {
         None),
     "fib-extremal-6-6": ("ba1b0da2403d795d3901d060dd2e6e59e6d088afb9c651e224de184299439076",
         None),
+    "cover-path": ("1a6ef95aeda26984be292c742725c194de3bdfc33ed4f6eeb20ed39d312ba63f",
+        None),
+    "cover-comments-repeated-neighbours": ("72b76d83313121f32e90fb3bb4dbaa8dd5d846f7f464268e224263c568b064f6",
+        None),
+    "cover-empty": ("ede104fca4b1b9a5bec435cd957a0462a505eb59ff97a5066d601b252d1cdc54",
+        None),
+    "cover-descent-40": ("592a4fec77423c95d9a8a8e0ae17900a9327af20fb81bd47f9431e9ff77e323b",
+        None),
+    "cover-proper-divisors-120": ("dd592da5def451e90213a671b1f59ab8d1a88163a621436fead5755f1b5039d5",
+        None),
 }
 
 
@@ -279,6 +304,14 @@ def digest(data):
 def test_report_bytes_match_reference(name, argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     stdout, written = run_report(argv)
+    assert (digest(stdout), digest(written)) == REFERENCE[name]
+
+
+@pytest.mark.parametrize("name,graph", COVER_CORPUS, ids=[name for name, _ in COVER_CORPUS])
+def test_cover_report_bytes_match_reference(name, graph, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.txt").write_text(graph)
+    stdout, written = run_report(["cover", "--graph", "graph.txt"])
     assert (digest(stdout), digest(written)) == REFERENCE[name]
 
 

@@ -1,4 +1,5 @@
-"""resultant and discriminant against sympy for every degree pair up to 4,
+"""resultant and discriminant against sympy for every degree pair up to 4
+and on seeded pairs of degrees 5 to 8, with constants and common factors,
 the rational-root screen of quadratics and cubics against sympy's factor
 lists, the per-factor factoring of witness windows against sympy and against
 factoring each term whole, that a factor value recurring in a window is
@@ -46,20 +47,47 @@ def as_sympy(f):
     return sympy.Poly(list(reversed(f.coeffs)), X)
 
 
+def sympy_resultant(f, g):
+    # sympy 1.14 answers Res(g, f) without the sign (-1)^(mn) when
+    # deg f < deg g (Res(x, x^3 + 1) comes back -1), so it is asked
+    # with the larger degree first and Res(f, g) = (-1)^(mn) Res(g, f)
+    m, n = f.degree, g.degree
+    if m >= n:
+        return as_sympy(f).resultant(as_sympy(g))
+    return (-1) ** (m * n) * as_sympy(g).resultant(as_sympy(f))
+
+
 @ORACLE
 @given(COEFFS, COEFFS)
 def test_resultant_matches_sympy(f_drawn, g_drawn):
     for m in range(MAX_DEGREE + 1):
         for n in range(MAX_DEGREE + 1):
             f, g = of_degree(f_drawn, m), of_degree(g_drawn, n)
-            # sympy 1.14 answers Res(g, f) without the sign (-1)^(mn) when
-            # deg f < deg g (Res(x, x^3 + 1) comes back -1), so it is asked
-            # with the larger degree first and Res(f, g) = (-1)^(mn) Res(g, f)
-            if m >= n:
-                expected = as_sympy(f).resultant(as_sympy(g))
-            else:
-                expected = (-1) ** (m * n) * as_sympy(g).resultant(as_sympy(f))
-            assert resultant(f, g) == expected, (f, g)
+            assert resultant(f, g) == sympy_resultant(f, g), (f, g)
+
+
+def drawn_coeffs(rng, degree, bits):
+    """Coefficients below 2^bits, constant term first; the leading one has
+    either sign and is a unit half the time."""
+    lead = rng.choice([-1, 1]) * rng.choice([1, rng.randint(2, 2**bits)])
+    return [rng.randint(-2**bits, 2**bits) for _ in range(degree)] + [lead]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_resultant_matches_sympy_at_degrees_5_to_8(seed):
+    rng = random.Random(seed)
+    bits = rng.choice([4, 20, 40])
+    f, g = (PolynomialZ(drawn_coeffs(rng, rng.randint(5, 8), bits)) for _ in range(2))
+    c = PolynomialZ(drawn_coeffs(rng, 0, bits))
+    for a, b in [(f, g), (g, f), (f, c), (c, g)]:
+        assert resultant(a, b) == sympy_resultant(a, b), (a, b)
+    # a common factor h of degree 1 to 3 makes the resultant 0
+    h = drawn_coeffs(rng, rng.randint(1, 3), 4)
+    a, b = (PolynomialZ(times(drawn_coeffs(rng, rng.randint(5, 8) - len(h) + 1, bits), h))
+            for _ in range(2))
+    assert resultant(a, b) == 0 == sympy_resultant(a, b), (a, b)
+    for p in (f, g):
+        assert discriminant(p) == sympy.discriminant(as_sympy(p)), p
 
 
 @ORACLE
