@@ -7,7 +7,9 @@ the primes in (2^10, 2^16], built on the first ``factorize_batch`` call that
 needs it.  ``factorize`` tests each prime once: trial division proves those
 below 2^20, Miller-Rabin (``is_prime``) larger ones below psi_13 ~ 3.3e24,
 and above it Baillie-PSW, a probable-prime test, passes them; ``factorize_batch``
-also proves those below 2^32 without a test.
+also proves those below 2^32 without a test.  Pollard rho splits the
+composites of a round in lanes of up to 16 walked modulo their product; each
+lane gets the factor its own walk gives.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ TRIAL_DIVISION_LIMIT = 2**10
 # batch; the least composite with no prime factor up to it is 65537^2 > 2^32
 _MEDIUM_PRIME_LIMIT = 2**16
 PRIME_RANGE_LIMIT = 10**8     # primes_in_range sieves one byte per candidate
+# rho walks at most this many composites at once: a reduction grows with the
+# square of their product, and one walk over a whole window was 4-5x slower
+_RHO_LANES = 16
 
 
 def _sieve(left: int, hi: int) -> list[int]:
@@ -210,42 +215,66 @@ class Factorization:
             raise ValueError("factors do not multiply back to the subject")
 
 
-def _pollard_rho(n: int) -> int:
-    """Nontrivial factor of an odd composite with no small prime factor.
+def _rho_lanes(composites: list[int]) -> dict[int, int]:
+    """A nontrivial factor of each of some distinct odd composites with no
+    small prime factor, by Brent's variant of Pollard rho with q reduced once
+    per two comparison steps (the same residue at every gcd).  Up to
+    _RHO_LANES composites are walked as lanes modulo their product, so a step
+    pays the interpreter once for all of them.  A lane's residues are those of
+    its own walk: it leaves at the gcd where that walk stops, with the factor
+    that walk gives.  The parameter c is swept deterministically, so
+    concurrent and repeated calls agree."""
+    factors = {}
+    for start in range(0, len(composites), _RHO_LANES):
+        group = composites[start:start + _RHO_LANES]
+        for c in range(1, 100):
+            lanes = [n for n in group if n not in factors]
+            if not lanes:
+                break
+            n_all = math.prod(lanes)
+            y, r, q = 2, 1, 1
+            while lanes:
+                x = y
+                for _ in range(r):
+                    y = (y * y + c) % n_all
+                k = 0
+                while k < r and lanes:
+                    ys = y
+                    steps = min(128, r - k)
+                    if steps & 1:
+                        y = (y * y + c) % n_all
+                        q = q * (x - y) % n_all
+                    for _ in range(steps >> 1):   # two steps per reduction of q
+                        y1 = (y * y + c) % n_all
+                        y = (y1 * y1 + c) % n_all
+                        q = q * (x - y1) * (x - y) % n_all
+                    g = math.gcd(q, n_all)
+                    k += 128
+                    for n in [n for n in lanes if math.gcd(g, n) > 1]:
+                        f = math.gcd(g, n)
+                        if f == n:   # back up over the block on this lane alone
+                            f, z = 1, ys % n
+                            while f == 1:
+                                z = (z * z + c) % n
+                                f = math.gcd(x - z, n)
+                        if f < n:    # else the lane waits for the next c
+                            factors[n] = f
+                        lanes.remove(n)
+                        n_all //= n
+                    y, x, q = y % n_all, x % n_all, q % n_all
+                r *= 2
+    for n in composites:
+        if n not in factors:
+            raise ArithmeticError(f"rho parameter sweep exhausted on {n}")
+    return factors
 
-    Brent's cycle-finding variant, with q reduced once per two comparison
-    steps (the same residue at every gcd); the polynomial parameter is swept
-    deterministically so concurrent and repeated calls agree.
-    """
-    for c in range(1, 100):
-        y, r, q, g = 2, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                steps = min(128, r - k)
-                if steps & 1:
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                for _ in range(steps >> 1):   # two steps per reduction of q
-                    y1 = (y * y + c) % n
-                    y = (y1 * y1 + c) % n
-                    q = q * (x - y1) * (x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"rho parameter sweep exhausted on {n}")
+
+def _pollard_rho(n: int) -> int:
+    """Nontrivial factor of an odd composite with no small prime factor: the
+    walk of ``_rho_lanes`` with one lane.  A split round walks its composites
+    in lanes of up to 16 modulo their product, and each lane gets the factor
+    this walk gives."""
+    return _rho_lanes([n])[n]
 
 
 def _iroot(n: int, k: int) -> int:
@@ -299,31 +328,42 @@ def _trial_stage(n: int) -> tuple[dict[int, int], int]:
     return found, remaining
 
 
-def _split(n: int, found: dict[int, int], m: int, trial_limit: int) -> Factorization:
-    """The factorization of n, of which ``found`` holds the prime powers
-    stripped so far and m the rest: 1, a prime, or a product of primes above
-    trial_limit.  So a factor of m below trial_limit**2 is prime without a
-    test; a larger one is tested once by ``is_prime``, and a composite is
-    split by an exact-root test or by rho."""
+def _split(staged: dict[int, tuple[dict[int, int], int]],
+           trial_limit: int) -> dict[int, Factorization]:
+    """The factorization of each n of ``staged``, which maps n to the prime
+    powers stripped so far and the rest m: 1, a prime, or a product of primes
+    above trial_limit.  So a factor of m below trial_limit**2 is prime without
+    a test; a larger one is tested once by ``is_prime``, and a composite is
+    split by an exact-root test or, with every composite of the round, by
+    ``_rho_lanes``."""
     prime_below = trial_limit**2
-    stack = [(m, 1)] if m > 1 else []   # (factor, multiplicity)
-    while stack:
-        m, e = stack.pop()
-        if m in found or m < prime_below or is_prime(m):
-            found[m] = found.get(m, 0) + e
-            continue
-        # rho takes about sqrt(p) steps on p^k, an exact root far less
-        root, k = _perfect_power(m)
-        if k > 1:
-            stack.append((root, e * k))
-        else:
-            f = _pollard_rho(m)
-            stack.append((f, e))
-            stack.append((m // f, e))
-    result = object.__new__(Factorization)   # no __post_init__: the primes are proven
-    object.__setattr__(result, "subject", n)
-    object.__setattr__(result, "factors", tuple(sorted(found.items())))
-    result._validate(prove_primes=False)
+    pending = {n: {m: 1} for n, (_, m) in staged.items() if m > 1}   # factor: multiplicity
+    while pending:
+        walks = []   # (n, composite, multiplicity)
+        for n, pieces in pending.items():
+            found = staged[n][0]
+            for m, e in pieces.items():
+                # rho takes about sqrt(p) steps on p^k, an exact root far less
+                while not (m in found or m < prime_below or is_prime(m)):
+                    root, k = _perfect_power(m)
+                    if k == 1:
+                        walks.append((n, m, e))
+                        break
+                    m, e = root, e * k
+                else:
+                    found[m] = found.get(m, 0) + e
+        factors = _rho_lanes(list(dict.fromkeys(m for _, m, _ in walks)))
+        pending = {}
+        for n, m, e in walks:
+            pieces = pending.setdefault(n, {})
+            for f in (factors[m], m // factors[m]):
+                pieces[f] = pieces.get(f, 0) + e
+    result = {}
+    for n, (found, _) in staged.items():
+        result[n] = object.__new__(Factorization)   # no __post_init__: the primes are proven
+        object.__setattr__(result[n], "subject", n)
+        object.__setattr__(result[n], "factors", tuple(sorted(found.items())))
+        result[n]._validate(prove_primes=False)
     return result
 
 
@@ -333,7 +373,7 @@ def factorize(n: int) -> Factorization:
     splitting of the rest, each composite first tested for being an exact
     power.  A factor left after trial division is prime if below
     TRIAL_DIVISION_LIMIT**2, else tested once by ``is_prime``."""
-    return _split(n, *_trial_stage(n), TRIAL_DIVISION_LIMIT)
+    return _split({n: _trial_stage(n)}, TRIAL_DIVISION_LIMIT)[n]
 
 
 def _product_tree(leaves: list[int]) -> list[list[int]]:
@@ -405,8 +445,7 @@ def factorize_batch(values: Iterable[int]) -> dict[int, Factorization]:
                     e += 1
                 found[p] = e
             staged[n] = found, c
-    return {n: _split(n, found, rest, _MEDIUM_PRIME_LIMIT)
-            for n, (found, rest) in staged.items()}
+    return _split(staged, _MEDIUM_PRIME_LIMIT)
 
 
 def primes_in_range(lo_exclusive: int, hi_inclusive: int) -> list[int]:

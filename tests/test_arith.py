@@ -187,6 +187,40 @@ def test_pollard_rho_returns_the_recorded_factors():
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == RHO_CORPUS_DIGEST
 
 
+def test_rho_lanes_give_each_lane_its_one_lane_factor():
+    corpus = rho_corpus()
+    assert len(set(corpus)) == len(corpus) == 300   # 19 walks of up to 16 lanes
+    factors = arith._rho_lanes(corpus)
+    pairs = [(n, factors[n]) for n in corpus]
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == RHO_CORPUS_DIGEST
+
+
+def test_a_lane_that_meets_both_primes_in_one_block_retries_with_the_next_c():
+    # the c = 1 walk on 1031 * 1223 meets both primes in one block, and so
+    # does backing up over it; c = 2 splits it
+    n, others = 1031 * 1223, rho_corpus()[:15]
+    assert arith._pollard_rho(n) == 1223
+    factors = arith._rho_lanes(others[:7] + [n] + others[7:])
+    assert factors == {m: arith._pollard_rho(m) for m in others + [n]}
+
+
+def test_a_composite_shared_by_values_is_walked_once(monkeypatch):
+    walked = []
+
+    def recording_lanes(composites):
+        walked.extend(composites)
+        return lanes(composites)
+
+    lanes = arith._rho_lanes
+    monkeypatch.setattr(arith, "_rho_lanes", recording_lanes)
+    m = 65537 * 65539
+    factored = factorize_batch([3 * m, 5 * m, m])
+    assert walked == [m]
+    assert {n: f.factors for n, f in factored.items()} == {
+        3 * m: ((3, 1), (65537, 1), (65539, 1)), 5 * m: ((5, 1), (65537, 1), (65539, 1)),
+        m: ((65537, 1), (65539, 1))}
+
+
 def test_factorization_validates_invariants():
     with pytest.raises(ValueError):
         Factorization(6, ((3, 1), (2, 1)))       # wrong order

@@ -6,10 +6,13 @@ digests recorded from the reference implementation.  The ``window`` and
 ``witness`` entries were recorded from trial division to 10^6, then Pollard
 rho; they span degrees 1-4, both prime filters, the admissible residue
 filter, witness cases 1-3, and terms divisible by prime squares, cubes and
-fourth powers just above 2^10 and 2^16.  The three entries for linear
-pairs at ``x`` near ``2^33`` (cases 2 and 3) and for ``(x-5)(x-7)`` on
-``r = 0``, whose factor values are negative or -1, were recorded while each
-witness term was factored as one product value.  The linear pair
+fourth powers just above 2^10 and 2^16.  The 150-term window of ``x^4+1``
+at ``r = 10^5``, whose 63 cofactors left by the medium stage fill three
+16-lane rho walks, was recorded while rho walked one composite at a time.
+The three entries for linear pairs at ``x`` near ``2^33`` (cases 2 and 3)
+and for ``(x-5)(x-7)`` on ``r = 0``, whose factor values are negative or
+-1, were recorded while each witness term was factored as one product
+value.  The linear pair
 ``(x+3)(x+17)`` at ``r = 10^9``, ``R = 1000``, whose factor values recur 14
 terms apart, and ``x^2+1`` on ``1..1100``, whose terms carry primes between
 1000 and 1100, were recorded while trial division tested every prime below
@@ -75,6 +78,8 @@ CORPUS = [
                       "--filter", "above"]),
     ("deg4-66bit-out", ["window", "--poly", "1,1,0,0,1", "--r", "100000", "--R", "6",
                         "--filter", "above", "--out", "w.csv"]),
+    ("x^4+1-R150", ["window", "--poly", "1,0,0,0,1", "--r", "100000", "--R", "150",
+                    "--filter", "above"]),
     ("witness-case1-default-gamma", ["witness", "--poly-factors", "1,0,1",
                                      "--r", "1000", "--R", "50"]),
     ("witness-case1-out", ["witness", "--poly-factors", "2,1,1;1,1", "--r", "5000",
@@ -188,6 +193,8 @@ REFERENCE = {
         None),
     "deg4-66bit-out": ("f7d10f3cebd5dabb868e6e9684abf892d6e657ffca11697facf4bcaf771973b4",
         "12076554cc5809ce3de8a3e326cd6032c518b73e612960bc3e1d080077310a73"),
+    "x^4+1-R150": ("690c3eb95cfa6b2285674550f96bae40701e95061be13ca540ca535659576bda",
+        None),
     "witness-case1-default-gamma": ("306f98e65c4dee5593c7c7af5a8af2d87d2839fb2d34f5cf066e8f1a3005d300",
         None),
     "witness-case1-out": ("499f4ebdccfc9c1c4429b4c157ca23fe12413f9bc18b71f71ab9ca8ad38b9bae",

@@ -379,12 +379,14 @@ def test_linear_pair_witness_never_hands_rho_a_whole_term(monkeypatch):
     # each term (x + 3)(x + 17) near 2^33 has 66 bits; its factor values 33
     split = []
 
-    def recording_rho(n):
-        split.append(n)
-        return rho(n)
+    def recording_lanes(composites):
+        split.extend(composites)
+        return lanes(composites)
 
-    rho = arith._pollard_rho
-    monkeypatch.setattr(arith, "_pollard_rho", recording_rho)
+    # every lane rho walks: the composites of each split round and, through
+    # _pollard_rho, the medium-prime products
+    lanes = arith._rho_lanes
+    monkeypatch.setattr(arith, "_rho_lanes", recording_lanes)
     report = window_witness([PolynomialZ([3, 1]), PolynomialZ([17, 1])], 2**33, 30)
     assert report.case == 2 and report.k == 30
     assert split, "no factor value needed rho"
