@@ -7,9 +7,9 @@ the primes in (2^10, 2^16], built on the first ``factorize_batch`` call that
 needs it.  ``factorize`` tests each prime once: trial division proves those
 below 2^20, Miller-Rabin (``is_prime``) larger ones below psi_13 ~ 3.3e24,
 and above it Baillie-PSW, a probable-prime test, passes them; ``factorize_batch``
-also proves those below 2^32 without a test.  Pollard rho splits the
-composites of a round in lanes of up to 16 walked modulo their product; each
-lane gets the factor its own walk gives.
+also proves those below 2^32 without a test.  One split loop serves both:
+Pollard rho splits the composites of a round in lanes of up to 16 walked
+modulo their product, and each lane gets the factor its own walk gives.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 class DeskScaleError(ValueError):
@@ -269,14 +269,6 @@ def _rho_lanes(composites: list[int]) -> dict[int, int]:
     return factors
 
 
-def _pollard_rho(n: int) -> int:
-    """Nontrivial factor of an odd composite with no small prime factor: the
-    walk of ``_rho_lanes`` with one lane.  A split round walks its composites
-    in lanes of up to 16 modulo their product, and each lane gets the factor
-    this walk gives."""
-    return _rho_lanes([n])[n]
-
-
 def _iroot(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 1, by integer Newton steps."""
     if k == 2:
@@ -294,7 +286,8 @@ def _perfect_power(m: int) -> tuple[int, int]:
 
     m has no prime factor below TRIAL_DIVISION_LIMIT = 2^10, so a root r is
     above 2^10 and only exponents k <= bit_length / 10 can occur.  In
-    ``factorize_batch`` m has none up to 2^16 either; the bound still holds.
+    ``factorize_batch`` m is a cofactor with no prime factor up to 2^16, or
+    a product h of primes in (2^10, 2^16]; the bound holds for both.
     """
     limit = m.bit_length() // 10
     for k in _TRIAL_PRIMES:
@@ -329,14 +322,12 @@ def _trial_stage(n: int) -> tuple[dict[int, int], int]:
 
 
 def _split(staged: dict[int, tuple[dict[int, int], int]],
-           trial_limit: int) -> dict[int, Factorization]:
+           proven: Callable[[int], bool]) -> dict[int, Factorization]:
     """The factorization of each n of ``staged``, which maps n to the prime
-    powers stripped so far and the rest m: 1, a prime, or a product of primes
-    above trial_limit.  So a factor of m below trial_limit**2 is prime without
-    a test; a larger one is tested once by ``is_prime``, and a composite is
-    split by an exact-root test or, with every composite of the round, by
-    ``_rho_lanes``."""
-    prime_below = trial_limit**2
+    powers stripped so far and the rest m, a product of primes.  A piece of m
+    is prime when ``proven`` says so, asked once per distinct piece of each
+    n; a composite is split by an exact-root test or, with every composite
+    of the round, by ``_rho_lanes``."""
     pending = {n: {m: 1} for n, (_, m) in staged.items() if m > 1}   # factor: multiplicity
     while pending:
         walks = []   # (n, composite, multiplicity)
@@ -344,7 +335,7 @@ def _split(staged: dict[int, tuple[dict[int, int], int]],
             found = staged[n][0]
             for m, e in pieces.items():
                 # rho takes about sqrt(p) steps on p^k, an exact root far less
-                while not (m in found or m < prime_below or is_prime(m)):
+                while not (m in found or proven(m)):
                     root, k = _perfect_power(m)
                     if k == 1:
                         walks.append((n, m, e))
@@ -373,7 +364,8 @@ def factorize(n: int) -> Factorization:
     splitting of the rest, each composite first tested for being an exact
     power.  A factor left after trial division is prime if below
     TRIAL_DIVISION_LIMIT**2, else tested once by ``is_prime``."""
-    return _split({n: _trial_stage(n)}, TRIAL_DIVISION_LIMIT)[n]
+    return _split({n: _trial_stage(n)},
+                  lambda m: m < TRIAL_DIVISION_LIMIT**2 or is_prime(m))[n]
 
 
 def _product_tree(leaves: list[int]) -> list[list[int]]:
@@ -401,51 +393,42 @@ def _medium_primorial() -> int:
     return _product_tree(primes_upto(_MEDIUM_PRIME_LIMIT)[len(_TRIAL_PRIMES):])[-1][0]
 
 
-def _medium_primes(h: int) -> list[int]:
-    """The primes of h, a squarefree product of primes in (2^10, 2^16].  Two
-    of them multiply past 2^20, so a factor of h below 2^20 is one prime and
-    a larger one is split by rho, with no primality test."""
-    primes, stack = [], [h]
-    while stack:
-        m = stack.pop()
-        if m >= TRIAL_DIVISION_LIMIT**2:
-            f = _pollard_rho(m)
-            stack += (f, m // f)
-        elif m > 1:
-            primes.append(m)
-    return primes
-
-
 def factorize_batch(values: Iterable[int]) -> dict[int, Factorization]:
     """``factorize`` of each distinct value, with one shared stage between
-    its trial division and its split stack.
+    its trial division and its split rounds.
 
     A remainder tree reduces the product of the primes in (2^10, 2^16]
     modulo every cofactor c >= 2^20 left by trial division at once
     (Bernstein, "How to find smooth parts of integers", 2004); the gcd h of
     that remainder and c is the product of the primes in (2^10, 2^16] that
-    divide c, and they are stripped with their exponents.  What is left has
-    no prime factor up to 2^16, so the split stack takes a factor below
-    2^32 < 65537^2 as prime without a test.
+    divide c.  The distinct h are split together by the same rounds, which
+    take a factor of h below 2^20 as one prime, two of them multiplying past
+    it, and test none; their primes are stripped from c with their
+    exponents.  What is left has no prime factor up to 2^16, so the rounds
+    take a factor of it below 2^32 < 65537^2 as prime without a test.
     """
     staged = {n: _trial_stage(n) for n in dict.fromkeys(values)}
     large = [n for n, (_, rest) in staged.items() if rest >= TRIAL_DIVISION_LIMIT**2]
+    medium = {}   # n: the product of the primes in (2^10, 2^16] dividing its cofactor
     # a tree costs about the same per leaf from 64 leaves to 2048, and above
     # that multiplies products far larger than the primorial
     for start in range(0, len(large), 1024):
         chunk = large[start:start + 1024]
         cofactors = [staged[n][1] for n in chunk]
         remainders = _remainders(_medium_primorial(), _product_tree(cofactors))
-        for n, c, r in zip(chunk, cofactors, remainders):
-            found = staged[n][0]
-            for p in _medium_primes(math.gcd(r, c)):
-                e = 0
-                while c % p == 0:
-                    c //= p
-                    e += 1
-                found[p] = e
-            staged[n] = found, c
-    return _split(staged, _MEDIUM_PRIME_LIMIT)
+        medium.update((n, math.gcd(r, c)) for n, c, r in zip(chunk, cofactors, remainders))
+    primes = _split({h: ({}, h) for h in medium.values()},
+                    lambda m: m < TRIAL_DIVISION_LIMIT**2)
+    for n, h in medium.items():
+        found, c = staged[n]
+        for p, _ in primes[h].factors:
+            e = 0
+            while c % p == 0:
+                c //= p
+                e += 1
+            found[p] = e
+        staged[n] = found, c
+    return _split(staged, lambda m: m < _MEDIUM_PRIME_LIMIT**2 or is_prime(m))
 
 
 def primes_in_range(lo_exclusive: int, hi_inclusive: int) -> list[int]:

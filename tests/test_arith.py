@@ -176,13 +176,13 @@ def rho_corpus(count=300, seed=20261018):
     return corpus
 
 
-# sha256 of repr([(n, _pollard_rho(n)) for n in rho_corpus()]), recorded while
-# rho reduced q once per comparison step
+# sha256 of repr([(n, f) for n in rho_corpus()]), f the factor of the one-lane
+# walk _rho_lanes([n])[n], recorded while rho reduced q once per comparison step
 RHO_CORPUS_DIGEST = "0cffbb7f7de93d85bb087c0cd145ad79df93ea64bd4801e24dd20b84260878f8"
 
 
 def test_pollard_rho_returns_the_recorded_factors():
-    pairs = [(n, arith._pollard_rho(n)) for n in rho_corpus()]
+    pairs = [(n, arith._rho_lanes([n])[n]) for n in rho_corpus()]
     assert all(1 < f < n and n % f == 0 for n, f in pairs)
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == RHO_CORPUS_DIGEST
 
@@ -199,26 +199,29 @@ def test_a_lane_that_meets_both_primes_in_one_block_retries_with_the_next_c():
     # the c = 1 walk on 1031 * 1223 meets both primes in one block, and so
     # does backing up over it; c = 2 splits it
     n, others = 1031 * 1223, rho_corpus()[:15]
-    assert arith._pollard_rho(n) == 1223
+    assert arith._rho_lanes([n])[n] == 1223
     factors = arith._rho_lanes(others[:7] + [n] + others[7:])
-    assert factors == {m: arith._pollard_rho(m) for m in others + [n]}
+    assert factors == {m: arith._rho_lanes([m])[m] for m in others + [n]}
 
 
-def test_a_composite_shared_by_values_is_walked_once(monkeypatch):
-    walked = []
-
-    def recording_lanes(composites):
-        walked.extend(composites)
-        return lanes(composites)
-
-    lanes = arith._rho_lanes
-    monkeypatch.setattr(arith, "_rho_lanes", recording_lanes)
+def test_a_composite_shared_by_values_is_walked_once(rho_calls):
     m = 65537 * 65539
     factored = factorize_batch([3 * m, 5 * m, m])
+    walked = [n for call in rho_calls for n in call]
     assert walked == [m]
     assert {n: f.factors for n, f in factored.items()} == {
         3 * m: ((3, 1), (65537, 1), (65539, 1)), 5 * m: ((5, 1), (65537, 1), (65539, 1)),
         m: ((65537, 1), (65539, 1))}
+
+
+def test_the_medium_products_of_a_batch_share_a_lane_walk(rho_calls):
+    # each cofactor is the product h of two primes in (2^10, 2^16]: the three
+    # are walked together, and what is left of each value needs no walk
+    values = [3 * 1031 * 1033, 5 * 1039 * 1049, 7 * 1051 * 1061]
+    factored = factorize_batch(values)
+    assert [walked for walked in rho_calls if walked] == [[1065023, 1089911, 1115111]]
+    assert {n: dict(f.factors) for n, f in factored.items()} == {
+        n: oracle_factor(n) for n in values}
 
 
 def test_factorization_validates_invariants():

@@ -23,7 +23,6 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.ntheory.modular import crt
 
-from prodsets import arith
 from prodsets.arith import (
     TRIAL_DIVISION_LIMIT,
     _MEDIUM_PRIME_LIMIT,
@@ -183,23 +182,16 @@ def test_factorize_batch_of_a_window_longer_than_one_remainder_tree():
     assert_batch_matches_oracles([(10**6 + i)**2 + 1 for i in range(1, 2001)])
 
 
-def test_factorize_batch_splits_cofactors_of_four_primes_in_rounds(monkeypatch):
+def test_factorize_batch_splits_cofactors_of_four_primes_in_rounds(rho_calls):
     # 24 values whose cofactors have 3 or 4 primes in (2^16, 2^17], up to 68
     # bits: a round walks at most 16 lanes together and splits each in two,
     # so a 4-prime cofactor split 1 + 3 takes three rounds
-    rounds = []
-
-    def recording_lanes(composites):
-        rounds.append(len(composites))
-        return lanes(composites)
-
-    lanes = arith._rho_lanes
-    monkeypatch.setattr(arith, "_rho_lanes", recording_lanes)
     rng = random.Random(17)
     primes = list(sympy.primerange(2**16 + 1, 2**17 + 1))
     values = [rng.choice([1, 2, 3 * 1031, 1021**2]) * math.prod(rng.sample(primes, 3 + i % 2))
               for i in range(23)] + [primes[0] ** 2 * primes[1] * primes[2]]
     assert_batch_matches_oracles(values)
+    rounds = [len(walked) for walked in rho_calls]
     assert len([walked for walked in rounds if walked]) >= 3 and max(rounds) > 16, rounds
 
 

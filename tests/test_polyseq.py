@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from prodsets import arith
 from prodsets.arith import DeskScaleError, factorize, primes_in_range
 from prodsets.polyseq import (
     ABOVE_R,
@@ -375,19 +374,21 @@ def test_window_witness_multiple_factors():
         assert any(p <= 20 < 2 * p for p in oracle_prime_factors(value))
 
 
-def test_linear_pair_witness_never_hands_rho_a_whole_term(monkeypatch):
-    # each term (x + 3)(x + 17) near 2^33 has 66 bits; its factor values 33
-    split = []
-
-    def recording_lanes(composites):
-        split.extend(composites)
-        return lanes(composites)
-
-    # every lane rho walks: the composites of each split round and, through
-    # _pollard_rho, the medium-prime products
-    lanes = arith._rho_lanes
-    monkeypatch.setattr(arith, "_rho_lanes", recording_lanes)
+def test_linear_pair_witness_never_hands_rho_a_whole_term(rho_calls):
+    # each term (x + 3)(x + 17) near 2^33 has 66 bits; its factor values 33.
+    # rho walks the medium-prime products and the composites the split
+    # rounds leave; on this window only the medium-prime products
     report = window_witness([PolynomialZ([3, 1]), PolynomialZ([17, 1])], 2**33, 30)
+    split = [n for call in rho_calls for n in call]
     assert report.case == 2 and report.k == 30
     assert split, "no factor value needed rho"
+    assert max(n.bit_length() for n in split) <= 34, split
+    # here x + 3 = 65537 * 131071 at i = 1, a factor value with no prime up
+    # to 2^16, so the split rounds walk it
+    rho_calls.clear()
+    composite = 65537 * 131071
+    report = window_witness([PolynomialZ([3, 1]), PolynomialZ([17, 1])], composite - 4, 30)
+    split = [n for call in rho_calls for n in call]
+    assert report.case == 2 and report.k == 30
+    assert composite in split, split
     assert max(n.bit_length() for n in split) <= 34, split
