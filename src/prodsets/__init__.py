@@ -5,7 +5,6 @@ from .arith import (
     Factorization,
     crt_solve,
     factorize,
-    is_perfect_square,
     is_prime,
     primes_in_range,
 )
@@ -34,7 +33,6 @@ from .sequences import (
     FIBONACCI,
     LUCAS_V,
     LucasSpec,
-    fib,
     is_fibonacci,
     is_lucas_number,
     lucas_u,

@@ -30,13 +30,16 @@ def _require(condition: bool, message: str, *args) -> None:
 
 
 def check_01_fib_count_exhaustive() -> str:
-    """Every B in {1..30} with |B| <= 5 has at most |B| Fibonacci values in B.B."""
-    total = 0
-    for size in range(1, 6):
-        best, witness = extremal.max_fib_count(30, size)
-        _require(best <= size,
-                 f"size {size}: {best} Fibonacci values in {witness}")
-        total += math.comb(30, size)
+    """Every B in {1..30} with |B| <= 5 has at most |B| Fibonacci values in B.B.
+
+    B's values are those of its core part S (``extremal.core``), and
+    |S| <= |B| with S itself such a B, so checking each core subset S once
+    covers every B."""
+    members = sequence_members(BaseSet(range(1, 31)), sequences.FIBONACCI)
+    for subset, pairs in extremal.core_subsets(members, 5):
+        _require(len(pairs) <= len(subset),
+                 "S = %s: %d Fibonacci values", tuple(subset), len(pairs))
+    total = sum(math.comb(30, size) for size in range(1, 6))
     return f"{total} subsets checked, count never exceeds the set size"
 
 
@@ -53,7 +56,7 @@ def check_02_sharp_examples() -> str:
 
 def check_03_gcd_square_bound() -> str:
     """gcd(F_m, F_n)^2 < F_n for all 1 <= m < n <= 60 with n > 2."""
-    fib_cache = [0] + [sequences.fib(n) for n in range(1, 61)]
+    fib_cache = [0] + [sequences.lucas_u(sequences.FIBONACCI, n) for n in range(1, 61)]
     pairs = 0
     for n in range(3, 61):
         for m in range(1, n):
@@ -66,7 +69,7 @@ def check_03_gcd_square_bound() -> str:
 
 def check_04_strong_divisibility() -> str:
     """gcd(F_m, F_n) = F_gcd(m, n) for all m, n <= 100."""
-    fib_cache = [0] + [sequences.fib(n) for n in range(1, 101)]
+    fib_cache = [0] + [sequences.lucas_u(sequences.FIBONACCI, n) for n in range(1, 101)]
     for m in range(1, 101):
         for n in range(1, 101):
             expected = fib_cache[math.gcd(m, n)]

@@ -32,7 +32,7 @@ TRIAL_DIVISION_LIMIT = 2**10
 # factorize_batch strips the primes up to this with remainder trees over the
 # batch; the least composite with no prime factor up to it is 65537^2 > 2^32
 _MEDIUM_PRIME_LIMIT = 2**16
-PRIME_RANGE_LIMIT = 10**8     # primes_in_range sieves one byte per candidate
+PRIME_RANGE_LIMIT = 10**8     # _sieve allocates one byte per candidate
 # rho walks at most this many composites at once: a reduction grows with the
 # square of their product, and one walk over a whole window was 4-5x slower
 _RHO_LANES = 16
@@ -41,6 +41,9 @@ _RHO_LANES = 16
 def _sieve(left: int, hi: int) -> list[int]:
     """All primes in [left, hi], left >= 2 (sieve of Eratosthenes): one byte
     window crossed off with the primes up to isqrt(hi), sieved the same way."""
+    if hi > PRIME_RANGE_LIMIT:
+        raise DeskScaleError(f"prime ranges capped at {PRIME_RANGE_LIMIT} "
+                             f"(PRIME_RANGE_LIMIT); got hi = {hi}")
     if left > hi:
         return []
     flags = bytearray([1]) * (hi - left + 1)
@@ -112,7 +115,7 @@ def _jacobi(a: int, n: int) -> int:
 def _strong_lucas_prp(n: int) -> bool:
     # Standard strong Lucas probable-prime test with Selfridge parameters.
     # Caller guarantees n odd, n > 37, no factor among _SMALL_PRIMES.
-    if is_perfect_square(n):
+    if math.isqrt(n) ** 2 == n:
         return False
     d = 5
     while True:
@@ -435,22 +438,12 @@ def primes_in_range(lo_exclusive: int, hi_inclusive: int) -> list[int]:
     """All primes p with lo < p <= hi, ascending."""
     if lo_exclusive >= hi_inclusive:
         raise ValueError("need lo_exclusive < hi_inclusive")
-    if hi_inclusive > PRIME_RANGE_LIMIT:
-        raise DeskScaleError(f"prime ranges capped at {PRIME_RANGE_LIMIT} "
-                             f"(PRIME_RANGE_LIMIT); got hi = {hi_inclusive}")
     return _sieve(max(lo_exclusive + 1, 2), hi_inclusive)
 
 
 # ---------------------------------------------------------------------------
-# Squares and CRT
+# CRT
 # ---------------------------------------------------------------------------
-
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
 
 def crt_solve(congruences: Iterable[tuple[int, int]]) -> int:
     """Unique x modulo the product of the moduli with x = residue (mod modulus)

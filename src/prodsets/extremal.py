@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .arith import DeskScaleError
 from .productset import BaseSet, sequence_members
-from .sequences import FIBONACCI, SequenceKind, fib
+from .sequences import FIBONACCI, SequenceKind, lucas_u
 
 MAX_UNIVERSE = 40
 MAX_SET_SIZE = 6
@@ -120,7 +120,7 @@ def sharp_example(k: int) -> BaseSet:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return BaseSet([1] + [fib(i) for i in range(3, k + 2)])
+    return BaseSet([1] + [lucas_u(FIBONACCI, i) for i in range(3, k + 2)])
 
 
 @dataclass(frozen=True)

@@ -403,16 +403,15 @@ def window_witness(factors: Sequence[PolynomialZ], r: int, window_length: int,
     terms = window_terms(factors, r, R)   # size guards before any factoring
     for f in factors:
         check_irreducible(f)
-    factored = _factor_window(factors, r, terms)
     if any(f.degree >= 2 for f in factors):
         case = 1
-    elif _beyond_power(r, R, gamma):
+    elif _beyond_power(r, R, gamma):   # its MAX_POWER_BITS guard: before factoring
         case = 2
     else:
         case = 3
 
     prime_filter = MID_RANGE if case == 3 else ABOVE_R
-
+    factored = _factor_window(factors, r, terms)
     adjacency: dict[int, list[int]] = {}     # in ascending term order
     for value, value_factors in factored.items():
         qualifiers = _qualifying(value_factors, R, prime_filter)

@@ -111,11 +111,6 @@ def term_index(kind: SequenceKind, value: int) -> Optional[int]:
     return term_table(kind, value).get(value)
 
 
-def fib(n: int) -> int:
-    """n-th Fibonacci number, F_1 = F_2 = 1."""
-    return _nth(_terms(FIBONACCI), n)
-
-
 def lucas_u(spec: LucasSpec, n: int) -> int:
     """U_n(P, Q): U_1 = 1, U_2 = P."""
     return _nth(_terms(spec), n)

@@ -29,6 +29,30 @@ def test_selftest_never_builds_the_medium_primorial(capsys):
     assert arith._medium_primorial.cache_info().currsize == 0
 
 
+
+def test_fib_count_check_reports_a_subset_above_its_size(monkeypatch):
+    monkeypatch.setattr(acceptance.extremal, "core_subsets", lambda members, max_size: iter(
+        [([1, 2], {1: [(1, 1)], 2: [(1, 2)], 4: [(2, 2)]})]))
+    with pytest.raises(acceptance.CheckFailure,
+                       match=r"^S = \(1, 2\): 3 Fibonacci values$"):
+        acceptance.check_01_fib_count_exhaustive()
+
+
+def test_fib_count_check_reads_the_core_walk_once(monkeypatch):
+    calls = []
+
+    def recording(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args: calls.append(name) or real(*args))
+
+    recording(acceptance, "sequence_members")
+    recording(extremal, "core_subsets")
+    recording(extremal, "max_fib_count")
+    assert acceptance.check_01_fib_count_exhaustive() == (
+        "174436 subsets checked, count never exceeds the set size")
+    assert calls == ["sequence_members", "core_subsets"]
+
 def test_acyclic_check_reports_a_cycle(monkeypatch):
     # the failure messages are formatted only on failure: force one
     monkeypatch.setattr(acceptance.auxgraph, "find_cycle", lambda graph: [1, 2])

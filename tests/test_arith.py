@@ -16,7 +16,6 @@ from prodsets.arith import (
     crt_solve,
     factorize,
     factorize_batch,
-    is_perfect_square,
     is_prime,
     primes_in_range,
     primes_upto,
@@ -264,19 +263,21 @@ def test_primes_in_range_guards():
         primes_in_range(0, 10**8 + 1)
 
 
+def test_prime_range_cap_covers_primes_upto(monkeypatch):
+    # the cap sits in the sieve that allocates the byte window
+    monkeypatch.setattr(arith, "PRIME_RANGE_LIMIT", 1000)
+    with pytest.raises(DeskScaleError, match="PRIME_RANGE_LIMIT"):
+        primes_upto(1001)
+    assert primes_upto(1000)[-1] == 997
+
+
 # --- squares -------------------------------------------------------------
 
-def test_integer_sqrt_examples():
-    assert math.isqrt(144) == 12 and is_perfect_square(144)
-    assert math.isqrt(34) == 5 and not is_perfect_square(34)
-    assert math.isqrt(0) == 0 and is_perfect_square(0)
-    assert not is_perfect_square(-1)
-
-
-def test_is_perfect_square_against_square_table():
-    squares = {i * i for i in range(1001)}
-    for n in range(10**6 + 1):
-        assert is_perfect_square(n) == (n in squares)
+def test_strong_lucas_prp_rejects_prime_squares():
+    # a square has no Selfridge D with (D/n) = -1: without the square rule the
+    # parameter search on (2^61 - 1)^2 would take about 2^60 steps
+    for p in (43, 1031, 2**31 - 1, 2**61 - 1):
+        assert arith._strong_lucas_prp(p * p) is False
 
 
 # --- CRT -----------------------------------------------------------------

@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from prodsets import acceptance, cli
-from prodsets.sequences import fib
+from prodsets import acceptance, cli, polyseq
+from prodsets.sequences import FIBONACCI, lucas_u
 
 
 def run_cli(argv, capsys):
@@ -63,7 +63,7 @@ def test_lucas_bound_rejects_degenerate_pair(capsys):
 def test_lucas_bound_counts_high_fibonacci_terms_under_either_name(capsys):
     # F_600 is U_600(1, -1): the general pair must find it as fib does
     assert cli._parse_seq("fib") == cli._parse_seq("lucasU:1,-1")
-    f600 = fib(600)
+    f600 = lucas_u(FIBONACCI, 600)
     reports = []
     for seq in ("fib", "lucasU:1,-1"):
         code, out, _ = run_cli(["lucas-bound", "--set", f"1,{f600}", "--seq", seq], capsys)
@@ -223,6 +223,17 @@ def test_witness_gamma_beyond_the_float_range(capsys):
     assert "MAX_POWER_BITS" in err
     assert err.count("\n") == 1 and len(err.encode()) < 200, err
 
+
+
+def test_witness_power_guard_runs_before_any_factoring(monkeypatch, capsys):
+    calls = []
+    real = polyseq.factorize_batch
+    monkeypatch.setattr(polyseq, "factorize_batch",
+                        lambda values: calls.append(values) or real(values))
+    code, out, err = run_cli(["witness", "--poly-factors", "0,1", "--r", str(2**40),
+                              "--R", "20", "--gamma", "1000000"], capsys)
+    assert (code, out, calls) == (3, "", [])
+    assert "MAX_POWER_BITS" in err
 
 def test_witness_json_fields(capsys):
     code, out, _ = run_cli(["witness", "--poly-factors", "1,0,1", "--r", "0",

@@ -4,13 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from prodsets.arith import is_perfect_square
 from prodsets.productset import BaseSet, build_product_set, sequence_members
 from prodsets.sequences import (
     FIBONACCI,
     LUCAS_V,
     LucasSpec,
-    fib,
     is_fibonacci,
     is_lucas_number,
     lucas_u,
@@ -35,12 +33,12 @@ def oracle_prime_set(n):
 
 
 def test_fib_values():
-    assert fib(1) == 1
-    assert fib(2) == 1
-    assert fib(12) == 144
-    assert fib(20) == 6765
+    assert lucas_u(FIBONACCI, 1) == 1
+    assert lucas_u(FIBONACCI, 2) == 1
+    assert lucas_u(FIBONACCI, 12) == 144
+    assert lucas_u(FIBONACCI, 20) == 6765
     with pytest.raises(ValueError):
-        fib(0)
+        lucas_u(FIBONACCI, 0)
 
 
 def test_fibonacci_term_table():
@@ -81,7 +79,7 @@ def test_lucas_u_is_fib_for_the_fibonacci_pair():
     assert FIBONACCI == LucasSpec(1, -1)
     a, b = 0, 1
     for n in range(1, 60):
-        assert lucas_u(LucasSpec(1, -1), n) == fib(n) == b
+        assert lucas_u(LucasSpec(1, -1), n) == b
         a, b = b, a + b
 
 
@@ -121,7 +119,7 @@ def test_is_fibonacci_agrees_with_generation():
         a, b, idx = b, a + b, idx + 1
     for m in range(1, 10001):
         square = 5 * m * m
-        member = is_perfect_square(square + 4) or is_perfect_square(square - 4)
+        member = any(math.isqrt(t) ** 2 == t for t in (square + 4, square - 4))
         assert (is_fibonacci(m) is not None) == member, m
         assert is_fibonacci(m) == values.get(m), m
 
@@ -129,24 +127,24 @@ def test_is_fibonacci_agrees_with_generation():
 def test_is_fibonacci_round_trip():
     for n in range(1, 81):
         expected = 1 if n == 2 else n
-        assert is_fibonacci(fib(n)) == expected
+        assert is_fibonacci(lucas_u(FIBONACCI, n)) == expected
 
 
 def test_fib_gcd_examples():
-    assert math.gcd(fib(9), fib(6)) == 2
-    assert math.gcd(fib(12), fib(8)) == 3
-    assert math.gcd(fib(30), fib(30)) == fib(30)
+    assert math.gcd(lucas_u(FIBONACCI, 9), lucas_u(FIBONACCI, 6)) == 2
+    assert math.gcd(lucas_u(FIBONACCI, 12), lucas_u(FIBONACCI, 8)) == 3
+    assert math.gcd(lucas_u(FIBONACCI, 30), lucas_u(FIBONACCI, 30)) == lucas_u(FIBONACCI, 30)
 
 
 def test_strong_divisibility():
-    cache = [0] + [fib(n) for n in range(1, 101)]
+    cache = [0] + [lucas_u(FIBONACCI, n) for n in range(1, 101)]
     for m in range(1, 101):
         for n in range(1, 101):
             assert math.gcd(cache[m], cache[n]) == cache[math.gcd(m, n)]
 
 
 def test_gcd_square_bound():
-    cache = [0] + [fib(n) for n in range(1, 61)]
+    cache = [0] + [lucas_u(FIBONACCI, n) for n in range(1, 61)]
     for n in range(3, 61):
         for m in range(1, n):
             g = math.gcd(cache[m], cache[n])
@@ -163,7 +161,7 @@ def test_primitive_divisor_examples():
 
 
 def test_primitive_divisor_against_direct_scan():
-    terms = [fib(n) for n in range(1, 26)]
+    terms = [lucas_u(FIBONACCI, n) for n in range(1, 26)]
     for n in range(2, 26):
         expected = None
         for p in sorted(oracle_prime_set(terms[n - 1])) if terms[n - 1] > 1 else []:
@@ -201,13 +199,13 @@ def test_term_index_markers_and_specs():
 
 
 def test_term_index_is_exact_past_index_500():
-    assert term_index(FIBONACCI, fib(600)) == 600
+    assert term_index(FIBONACCI, lucas_u(FIBONACCI, 600)) == 600
     assert term_index(LucasSpec(3, 2), 2**700 - 1) == 700
     assert term_index(LucasSpec(3, 2), 2**700) is None
     # U_n(-3, 2) = (-1)^(n-1) (2^n - 1): only odd indices are positive
     assert term_index(LucasSpec(-3, 2), 2**701 - 1) == 701
     assert term_index(LucasSpec(-3, 2), 2**700 - 1) is None
-    assert is_fibonacci(fib(600) + 1) is None
+    assert is_fibonacci(lucas_u(FIBONACCI, 600) + 1) is None
     assert is_lucas_number(lucas_v(FIBONACCI, 600)) == 600
 
 
