@@ -128,10 +128,10 @@ def content_d(f: PolynomialZ) -> int:
 # Irreducibility screening (complete for degree <= 3)
 # ---------------------------------------------------------------------------
 
-def _hold_setup_value(name: str, n: int) -> None:
-    """Hold a set-up value to MAX_TERM_BITS, as window terms are."""
+def _hold_to_term_cap(name: str, n: int) -> None:
+    """Hold a window term or a set-up value to MAX_TERM_BITS."""
     if n.bit_length() > MAX_TERM_BITS:
-        raise DeskScaleError(f"set-up values capped at {MAX_TERM_BITS} bits "
+        raise DeskScaleError(f"values capped at {MAX_TERM_BITS} bits "
                              f"(MAX_TERM_BITS); the {name} has {n.bit_length()} bits")
 
 
@@ -172,8 +172,8 @@ def check_irreducible(f: PolynomialZ) -> None:
     """
     n = f.degree
     if n == 3 and f.coeffs[0]:         # input range; x | f is reported as a root
-        _hold_setup_value("constant term", f.coeffs[0])
-        _hold_setup_value("leading coefficient", f.leading)
+        _hold_to_term_cap("constant term", f.coeffs[0])
+        _hold_to_term_cap("leading coefficient", f.leading)
     if n in (2, 3) and _has_rational_root(f):
         raise ValueError("quadratic splits over the rationals" if n == 2
                          else "cubic has a rational root")
@@ -198,7 +198,7 @@ def admissible_residue(f: PolynomialZ) -> tuple[int, int]:
         raise ValueError("polynomial has a repeated factor (discriminant 0)")
     d = content_d(f)
     modulus = abs(disc) * d * d
-    _hold_setup_value("residue modulus |disc| * d^2", modulus)
+    _hold_to_term_cap("residue modulus |disc| * d^2", modulus)
     # The scan always finds a residue, and one <= deg f: g = f/d has value
     # content 1, so p does not divide g(x) for some x in 0..deg f; and
     # whether p divides g(x) depends only on x mod p^e, since p^e | disc * d^2
@@ -234,10 +234,11 @@ class WindowStats:
 
 
 def window_terms(factors: Sequence[PolynomialZ], r: int, window_length: int,
-                 divisor: int = 1) -> list[tuple[int, int]]:
-    """Check every term of the window {f(r+1), ..., f(r+R)} of the product f
-    of the factors against the size guards, factoring nothing: the terms
-    (i, f(r+i) / divisor) in index order."""
+                 divisor: int = 1) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Evaluate every term of the window {f(r+1), ..., f(r+R)} of the product
+    f of the factors once and check it against the size guards, factoring
+    nothing: the terms (i, f(r+i) / divisor, pieces) in index order, where
+    the pieces to factor are the term for one factor, else |g(r+i)| each."""
     if window_length < 1:
         raise ValueError("window length must be >= 1")
     if r < 0:
@@ -248,38 +249,33 @@ def window_terms(factors: Sequence[PolynomialZ], r: int, window_length: int,
     terms = []
     for i in range(1, window_length + 1):
         x = r + i
-        value, rem = divmod(math.prod(g(x) for g in factors), divisor)
+        values = [g(x) for g in factors]
+        value, rem = divmod(math.prod(values), divisor)
         if rem:
             raise ArithmeticError("content does not divide a window term")
-        if value.bit_length() > MAX_TERM_BITS:
-            raise DeskScaleError(
-                f"window terms capped at {MAX_TERM_BITS} bits (MAX_TERM_BITS); "
-                f"the term at x = {x} has {value.bit_length()} bits")
-        terms.append((i, value))
+        _hold_to_term_cap(f"term at x = {x}", value)
+        terms.append((i, value, (value,) if len(values) == 1 else tuple(map(abs, values))))
     return terms
 
 
-def _factor_window(factors: Sequence[PolynomialZ], r: int,
-                   terms: list[tuple[int, int]]) -> dict[int, tuple[tuple[int, int], ...]]:
-    """The prime factors of each distinct term value, in ascending order.
-    A one-factor term is factored as its value; a term of several factors as
-    its factor values |g(r+i)|, whose exponents are merged.  Every term is
-    checked to be positive before any factoring.  All values of the window
-    go to one ``factorize_batch``, which factors a value that recurs, as
-    x+b at x does as x'+a at x' = x+b-a, once."""
+def _factor_window(r: int, terms: list[tuple[int, int, tuple[int, ...]]]
+                   ) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The prime factors of each distinct term value, in ascending order, from
+    the exponents of its pieces merged.  Every term is checked to be positive,
+    in index order, before any factoring.  All pieces of the window go to one
+    ``factorize_batch``, which factors a value that recurs, as x+b at x does
+    as x'+a at x' = x+b-a, once."""
     pieces = {}
-    for value, i in sorted({value: i for i, value in terms}.items()):
+    for i, value, value_pieces in terms:
         if value <= 0:
             raise ValueError(f"window term {i} at x = {r + i} is {value}, not "
                              f"positive; shift the window first")
-        pieces[value] = [value] if len(factors) == 1 else [abs(g(r + i)) for g in factors]
+        pieces.setdefault(value, value_pieces)
+    pieces = dict(sorted(pieces.items()))
     factored = factorize_batch([piece for value_pieces in pieces.values()
                                 for piece in value_pieces])
     merged = {}
     for value, value_pieces in pieces.items():
-        if len(value_pieces) == 1:
-            merged[value] = factored[value].factors
-            continue
         exponents = {}
         for piece in value_pieces:
             for p, e in factored[piece].factors:
@@ -316,13 +312,13 @@ def window_stats(f: PolynomialZ, r: int, window_length: int, prime_filter: str,
     if admissible:
         modulus, a = admissible_residue(f)
         residue = (a, modulus)
-        terms = [(i, value) for i, value in terms if (r + i - a) % modulus == 0]
-    factored = _factor_window([f], r, terms)
+        terms = [term for term in terms if (r + term[0] - a) % modulus == 0]
+    factored = _factor_window(r, terms)
 
     records = []
     above = mid = 0
     log_smooth = 0.0
-    for i, value in terms:
+    for i, value, _ in terms:
         factors = factored[value]
         lpf = factors[-1][0] if factors else None
         has_large = bool(_qualifying(factors, R, ABOVE_R))
@@ -411,7 +407,7 @@ def window_witness(factors: Sequence[PolynomialZ], r: int, window_length: int,
         case = 3
 
     prime_filter = MID_RANGE if case == 3 else ABOVE_R
-    factored = _factor_window(factors, r, terms)
+    factored = _factor_window(r, terms)
     adjacency: dict[int, list[int]] = {}     # in ascending term order
     for value, value_factors in factored.items():
         qualifiers = _qualifying(value_factors, R, prime_filter)

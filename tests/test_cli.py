@@ -192,6 +192,14 @@ def test_window_residue_auto_with_out_file(capsys, tmp_path):
     assert len(body) == 13      # header + one row per kept index
 
 
+def test_window_names_its_first_non_positive_term(capsys):
+    # x^2 - 5x is -4, -6, -6, -4, 0, 6 at x = 1..6
+    code, out, err = run_cli(["window", "--poly=0,-5,1", "--r", "0", "--R", "6",
+                              "--filter", "above"], capsys)
+    assert (code, out) == (2, "")
+    assert "window term 1 at x = 1 is -4" in err, err
+
+
 def test_window_largest_factor_of_a_strong_pseudoprime(capsys):
     # psi_12 of OEIS A014233 fools Miller-Rabin for all bases 2..37
     code, out, _ = run_cli(["window", "--poly", "318665857834031151167460,1",

@@ -79,6 +79,10 @@ def test_poly_basics():
     assert f.degree == 2 and f.leading == 1
 
 
+def test_poly_repr_round_trips():
+    assert repr(PolynomialZ([1, 0, 1])) == "PolynomialZ([1, 0, 1])"
+
+
 def test_poly_normalises_trailing_zeros():
     assert PolynomialZ([1, 2, 0, 0]) == PolynomialZ([1, 2])
     with pytest.raises(ValueError):

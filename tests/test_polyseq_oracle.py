@@ -3,8 +3,9 @@ and on seeded pairs of degrees 5 to 8, with constants and common factors,
 the rational-root screen of quadratics and cubics against sympy's factor
 lists, the per-factor factoring of witness windows against sympy and against
 factoring each term whole, that a factor value recurring in a window is
-factored once, and the witness bound against the exact minimum |B|, on
-pinned windows and on a seeded sweep of degrees 1 to 3."""
+factored once and each factor evaluated once per term, and the witness bound
+against the exact minimum |B|, on pinned windows and on a seeded sweep of
+degrees 1 to 3."""
 
 import math
 import random
@@ -203,8 +204,8 @@ WINDOW = st.tuples(st.one_of(st.integers(0, 12), st.integers(2**33 - 40, 2**33))
                    st.integers(1, 8))
 
 
-def whole_product_factors(factors, r, terms):
-    return {value: factorize(value).factors for value in sorted({v for _, v in terms})}
+def whole_product_factors(r, terms):
+    return {value: factorize(value).factors for value in sorted({v for _, v, _ in terms})}
 
 
 @ORACLE
@@ -221,7 +222,7 @@ def test_per_factor_merge_matches_whole_product(drawn, repeat, window, gamma):
     assume(max(values).bit_length() <= 68)   # whole 96-bit products take rho seconds
     assume(math.prod(g.leading for g in factors) > 0)
     terms = window_terms(factors, r, R)
-    merged = _factor_window(factors, r, terms)
+    merged = _factor_window(r, terms)
     assert list(merged) == sorted(set(values))
     for value, found in merged.items():
         assert dict(found) == sympy.factorint(value), (factors, value)
@@ -250,6 +251,22 @@ def test_each_factor_value_is_factored_once_per_window(monkeypatch):
     report = window_witness(factors, 1000, 30, 2)
     assert len(batches) == 1 and len(set(batches[0])) == 44
     assert len(staged) == 44 == len(set(staged))
+    monkeypatch.setattr(polyseq, "_factor_window", whole_product_factors)
+    assert report == window_witness(factors, 1000, 30, 2)
+
+
+def test_each_polynomial_is_evaluated_once_per_term(monkeypatch):
+    factors = [PolynomialZ([3, 1]), PolynomialZ([17, 1])]
+    evaluate = PolynomialZ.__call__
+    calls = []
+
+    def counting_call(self, x):
+        calls.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(PolynomialZ, "__call__", counting_call)
+    report = window_witness(factors, 1000, 30, 2)
+    assert len(calls) == 60             # two factors at each of 30 terms
     monkeypatch.setattr(polyseq, "_factor_window", whole_product_factors)
     assert report == window_witness(factors, 1000, 30, 2)
 

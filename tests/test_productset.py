@@ -47,6 +47,12 @@ def test_base_set_sorts_and_dedupes():
     assert 2 in base
 
 
+def test_equal_base_sets_hash_equal_and_share_a_dict_key():
+    a, b = BaseSet([1, 2, Fraction(1, 2)]), BaseSet([Fraction(2, 4), 2, 1, 2])
+    assert a == b and hash(a) == hash(b)
+    assert {a: "first", b: "second"} == {a: "second"}
+
+
 def test_base_set_rejects_nonpositive():
     with pytest.raises(ValueError):
         BaseSet([0, 1])
