@@ -17,8 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 
 class DeskScaleError(ValueError):
@@ -184,8 +183,12 @@ def is_prime(n: int) -> bool:
 # Factorization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Factorization:
+class _FactorizationFields(NamedTuple):
+    subject: int
+    factors: tuple[tuple[int, int], ...]
+
+
+class Factorization(_FactorizationFields):
     """Prime factorization of ``subject`` as (prime, exponent) pairs.
 
     Primes strictly increasing, exponents >= 1, and the product of the
@@ -194,11 +197,14 @@ class Factorization:
     primes they have proven.
     """
 
-    subject: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, subject: int, factors: tuple[tuple[int, int], ...]):
+        self = super().__new__(cls, subject, factors)
         self._validate(prove_primes=True)
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))   # _replace validates too
 
     def _validate(self, prove_primes: bool) -> None:
         if self.subject < 1:
@@ -354,9 +360,8 @@ def _split(staged: dict[int, tuple[dict[int, int], int]],
                 pieces[f] = pieces.get(f, 0) + e
     result = {}
     for n, (found, _) in staged.items():
-        result[n] = object.__new__(Factorization)   # no __post_init__: the primes are proven
-        object.__setattr__(result[n], "subject", n)
-        object.__setattr__(result[n], "factors", tuple(sorted(found.items())))
+        # not through __new__: the primes are proven
+        result[n] = tuple.__new__(Factorization, (n, tuple(sorted(found.items()))))
         result[n]._validate(prove_primes=False)
     return result
 

@@ -10,25 +10,27 @@ vertices of the copies are the strings "L:b" and "R:b".
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 ONE_CLASS = "one"
 TWO_CLASS = "two"
 
 
-@dataclass(frozen=True)
-class AuxGraph:
+class _AuxGraphFields(NamedTuple):
     mode: str
     base: tuple
     edges: tuple  # (b1, b2, value), b1 <= b2, exactly one per member value
 
-    def __post_init__(self):
-        if self.mode not in (ONE_CLASS, TWO_CLASS):
-            raise ValueError(f"unknown mode: {self.mode!r}")
+
+class AuxGraph(_AuxGraphFields):
+    __slots__ = ()
+
+    def __new__(cls, mode: str, base: tuple, edges: tuple):
+        if mode not in (ONE_CLASS, TWO_CLASS):
+            raise ValueError(f"unknown mode: {mode!r}")
         seen_values = set()
-        base_set = set(self.base)
-        for b1, b2, value in self.edges:
+        base_set = set(base)
+        for b1, b2, value in edges:
             if b1 > b2:
                 raise ValueError("edge endpoints must satisfy b1 <= b2")
             if b1 not in base_set or b2 not in base_set:
@@ -38,6 +40,9 @@ class AuxGraph:
             if value in seen_values:
                 raise ValueError(f"duplicate edge for value {value}")
             seen_values.add(value)
+        return super().__new__(cls, mode, base, edges)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))   # _replace validates too
 
     @property
     def vertices(self) -> tuple:
@@ -137,8 +142,7 @@ def _bfs_path(adjacency, start, goal):
     raise RuntimeError("endpoints not connected despite matching roots")
 
 
-@dataclass(frozen=True)
-class EdgeBoundReport:
+class EdgeBoundReport(NamedTuple):
     mode: str
     num_vertices: int
     num_edges: int

@@ -123,8 +123,7 @@ def _cmd_lucas_bound(args) -> int:
     base = _parse_set(args.set)
     kind = _parse_seq(args.seq)
     report = extremal.lucas_count_check(base, kind)
-    # vars, not asdict: the fields are flat, and asdict deep-copies each one
-    _print_json(vars(report) | {"members": [[str(v), i] for v, i in report.members]})
+    _print_json(report._asdict() | {"members": [[str(v), i] for v, i in report.members]})
     return 0
 
 
@@ -136,7 +135,7 @@ def _cmd_graph(args) -> int:
     report = auxgraph.edge_bound_report(graph)
     if args.dump is not None:
         _write_atomic(args.dump, auxgraph.dump_edges_csv(graph))
-    _print_json(vars(report) | {
+    _print_json(report._asdict() | {
         "cycle": None if report.cycle is None else [str(v) for v in report.cycle],
         "members": [str(m.value) for m in members],
     })
@@ -149,7 +148,7 @@ def _cmd_window(args) -> int:
     csv_text = polyseq.window_stats_csv(stats)
     if args.out is not None:
         _write_atomic(args.out, csv_text)
-        summary = {k: v for k, v in vars(stats).items() if k != "records"}
+        summary = {k: v for k, v in stats._asdict().items() if k != "records"}
         _print_json(summary | {"terms": len(stats.records), "out": args.out})
     else:
         print(csv_text, end="")
@@ -240,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-term factor statistics of {f(r+1)..f(r+R)}")
     p.add_argument("--poly", required=True,
                    help="comma-separated coefficients, constant term first")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=int, required=True, metavar="r")
     p.add_argument("--R", type=int, required=True)
     p.add_argument("--filter", choices=(polyseq.ABOVE_R, polyseq.MID_RANGE), required=True)
     p.add_argument("--residue", choices=("auto",), default=None,
@@ -252,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lower bound on |B| from a window inside B.B")
     p.add_argument("--poly-factors", required=True,
                    help="semicolon-separated irreducible factors, e.g. '1,0,1;0,1'")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=int, required=True, metavar="r")
     p.add_argument("--R", type=int, required=True)
     p.add_argument("--gamma", type=_parse_fraction, default=2)
     p.add_argument("--out", default=None)

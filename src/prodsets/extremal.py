@@ -3,7 +3,7 @@ Lucas-term count bound."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import DeskScaleError
 from .productset import BaseSet, sequence_members
@@ -123,8 +123,7 @@ def sharp_example(k: int) -> BaseSet:
     return BaseSet([1] + [lucas_u(FIBONACCI, i) for i in range(3, k + 2)])
 
 
-@dataclass(frozen=True)
-class LucasBoundReport:
+class LucasBoundReport(NamedTuple):
     """Distinct sequence terms in B.B against 2|B| + 30, with the count of
     index >= 31 terms against 2|B| - 1."""
 

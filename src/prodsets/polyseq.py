@@ -9,9 +9,8 @@ a product set B.B into an executable lower bound on |B|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arith import (
     DeskScaleError,
@@ -29,13 +28,16 @@ MAX_TERM_BITS = 96
 MAX_POWER_BITS = 10**6   # size of r^q and R^p in the exact case-2/3 split
 
 
-@dataclass(frozen=True, init=False)
-class PolynomialZ:
-    """Integer polynomial; coefficients constant-term first, never zero."""
-
+class _PolynomialZFields(NamedTuple):
     coeffs: tuple[int, ...]
 
-    def __init__(self, coeffs):
+
+class PolynomialZ(_PolynomialZFields):
+    """Integer polynomial; coefficients constant-term first, never zero."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs):
         cleaned = list(coeffs)
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
@@ -44,7 +46,9 @@ class PolynomialZ:
         for c in cleaned:
             if isinstance(c, bool) or not isinstance(c, int):
                 raise TypeError("integer coefficients required")
-        object.__setattr__(self, "coeffs", tuple(cleaned))
+        return super().__new__(cls, tuple(cleaned))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))   # _replace validates too
 
     @property
     def degree(self) -> int:
@@ -215,16 +219,14 @@ def admissible_residue(f: PolynomialZ) -> tuple[int, int]:
 # Window statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WindowRecord:
+class WindowRecord(NamedTuple):
     index: int
     value: int
     largest_prime_factor: Optional[int]  # None when value == 1
     qualifies: bool                      # per the requested filter
 
 
-@dataclass(frozen=True)
-class WindowStats:
+class WindowStats(NamedTuple):
     residue: Optional[tuple[int, int]]   # admissible class (a, M), if filtered
     content: int                         # divisor applied to terms (1 if not filtered)
     records: tuple[WindowRecord, ...]
@@ -347,8 +349,7 @@ def window_stats_csv(stats: WindowStats) -> str:
 # Witness construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Lower bound on |B| for any product set containing the window.
 
     ``terms`` are the window values with a qualifying prime factor,

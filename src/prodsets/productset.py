@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .sequences import SequenceKind, term_table
 
@@ -71,8 +70,7 @@ def build_product_set(base: BaseSet) -> dict:
     return {v: tuple(collected[v]) for v in sorted(collected)}
 
 
-@dataclass(frozen=True)
-class SequenceMember:
+class SequenceMember(NamedTuple):
     """A product-set value recognised as a sequence term."""
 
     value: int

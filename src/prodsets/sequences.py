@@ -7,32 +7,37 @@ U_2 = P, V_1 = P, V_2 = P^2 - 2Q, all following X_k = P X_{k-1} - Q X_{k-2}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .arith import factorize
 
 DEGENERATE_PAIRS = frozenset({(1, 1), (-1, 1), (0, 1), (0, -1)})
 
 
-@dataclass(frozen=True)
-class LucasSpec:
-    """Parameters (P, Q) of the recurrences U_n and V_n."""
-
+class _LucasSpecFields(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self):
-        if math.gcd(self.p, self.q) != 1:
+
+class LucasSpec(_LucasSpecFields):
+    """Parameters (P, Q) of the recurrences U_n and V_n."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int):
+        if math.gcd(p, q) != 1:
             raise ValueError("P and Q must be coprime")
-        if self.p * self.p - 4 * self.q == 0:
+        if p * p - 4 * q == 0:
             raise ValueError("discriminant P^2 - 4Q must be nonzero")
         # with P, Q coprime and P^2 != 4Q, the root ratio is a root of
         # unity (terms periodic, with zeros) exactly for these pairs
-        if (self.p, self.q) in DEGENERATE_PAIRS:
-            raise ValueError(f"degenerate pair ({self.p}, {self.q}): "
+        if (p, q) in DEGENERATE_PAIRS:
+            raise ValueError(f"degenerate pair ({p}, {q}): "
                              "the root ratio is a root of unity")
+        return super().__new__(cls, p, q)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))   # _replace validates too
 
     @property
     def discriminant(self) -> int:

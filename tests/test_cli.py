@@ -102,6 +102,27 @@ def test_zero_denominator_gamma_exits_two(capsys):
     assert '"gamma": 2.0,' in out
 
 
+SUBCOMMANDS = ["fib-extremal", "lucas-bound", "graph", "window", "witness", "cover",
+               "selftest"]
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[cmd, "--help"] for cmd in SUBCOMMANDS],
+                         ids=["prodsets"] + SUBCOMMANDS)
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: prodsets")
+
+
+@pytest.mark.parametrize("cmd", ["window", "witness"])
+def test_window_usage_names_r_and_R_apart(cmd, capsys):
+    with pytest.raises(SystemExit):
+        cli.main([cmd, "--help"])
+    usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+    assert "--r r --R R" in usage
+
+
 def test_bad_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["no-such-command"])
