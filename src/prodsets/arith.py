@@ -1,15 +1,21 @@
 """Exact integer arithmetic: primality, factorization, a sieve, CRT.
 
 Everything works on arbitrary-precision Python ints and is exact.  All
-functions are pure; the only shared state is two constant prime tables: the
-trial-division primes and their product, built at import, and the product of
+functions are pure; the only shared state is constant tables: the
+trial-division primes and their product, built at import, the product of
 the primes in (2^10, 2^16], built on the first ``factorize_batch`` call that
-needs it.  ``factorize`` tests each prime once: trial division proves those
-below 2^20, Miller-Rabin (``is_prime``) larger ones below psi_13 ~ 3.3e24,
-and above it Baillie-PSW, a probable-prime test, passes them; ``factorize_batch``
-also proves those below 2^32 without a test.  One split loop serves both:
-Pollard rho splits the composites of a round in lanes of up to 16 walked
-modulo their product, and each lane gets the factor its own walk gives.
+needs it, and ECM's, built on its first use.  ``factorize`` tests each
+prime once: trial division proves those below 2^20, Miller-Rabin
+(``is_prime``) larger ones below psi_13 ~ 3.3e24, and above it Baillie-PSW,
+a probable-prime test, passes them; ``factorize_batch`` also proves those
+below 2^32 without a test.  One split loop serves both: Pollard rho splits
+the composites of a round in lanes of up to 16 walked modulo their product,
+and each lane gets the factor its own walk gives.
+The walk stops at a step budget; each composite it leaves open goes to
+Lenstra's elliptic curve method on Montgomery curves (Montgomery 1987,
+Math. Comp. 48), and one that ECM's fixed schedule does not split goes back
+to rho with no budget.  That cut the 100-term window of x^2+1 at
+r = 2^47 + 12345 (95-bit terms) from 8.8 s to 1.2 s.
 """
 
 from __future__ import annotations
@@ -35,6 +41,20 @@ PRIME_RANGE_LIMIT = 10**8     # _sieve allocates one byte per candidate
 # rho walks at most this many composites at once: a reduction grows with the
 # square of their product, and one walk over a whole window was 4-5x slower
 _RHO_LANES = 16
+# _split walks rho only while Brent's r is at most this, about 16k steps, and
+# hands the lanes still open to ECM.  Per semiprime, one-lane rho and ECM took
+# 2.1 and 2.0 ms at a 24-bit least prime, 12.9 and 3.8 ms at 28 bits, 42 and
+# 5.6 ms at 32 (Python 3.11, 2-CPU shared host).  Budgets of 2^10-2^12 timed
+# the benchmark's window cycles within the host's drift, 2^13 slower; a
+# smaller one sends ECM composites of smaller primes, whose curves meet every
+# prime at once more often (all 300 curves do on 2017 * 2417)
+_RHO_BUDGET = 2**12
+# _ecm's curves: (B1, count) with B2 = 50 * B1 and Suyama's sigma = 6, 7, ...
+# over the whole schedule.  On the 264 composites of the benchmark's window
+# cycles (seeds 101-105) that the budget leaves, least primes of 21-33 bits,
+# it took 0.9 s where the lanes took 3.4 s, and it split every one
+_ECM_SCHEDULE = ((250, 40), (500, 60), (1000, 200))
+_ECM_D = 210   # stage 2's giant step: baby steps j < 105 prime to it pair every prime
 
 
 def _sieve(left: int, hi: int) -> list[int]:
@@ -224,7 +244,7 @@ class Factorization(_FactorizationFields):
             raise ValueError("factors do not multiply back to the subject")
 
 
-def _rho_lanes(composites: list[int]) -> dict[int, int]:
+def _rho_lanes(composites: list[int], budget: float = math.inf) -> dict[int, int]:
     """A nontrivial factor of each of some distinct odd composites with no
     small prime factor, by Brent's variant of Pollard rho with q reduced once
     per two comparison steps (the same residue at every gcd).  Up to
@@ -232,7 +252,9 @@ def _rho_lanes(composites: list[int]) -> dict[int, int]:
     pays the interpreter once for all of them.  A lane's residues are those of
     its own walk: it leaves at the gcd where that walk stops, with the factor
     that walk gives.  The parameter c is swept deterministically, so
-    concurrent and repeated calls agree."""
+    concurrent and repeated calls agree.  Under a finite ``budget`` a walk
+    stops once Brent's r passes it, its group's sweep with it, and the
+    composites it leaves unsplit are missing from the result."""
     factors = {}
     for start in range(0, len(composites), _RHO_LANES):
         group = composites[start:start + _RHO_LANES]
@@ -242,7 +264,7 @@ def _rho_lanes(composites: list[int]) -> dict[int, int]:
                 break
             n_all = math.prod(lanes)
             y, r, q = 2, 1, 1
-            while lanes:
+            while lanes and r <= budget:
                 x = y
                 for _ in range(r):
                     y = (y * y + c) % n_all
@@ -272,10 +294,96 @@ def _rho_lanes(composites: list[int]) -> dict[int, int]:
                         n_all //= n
                     y, x, q = y % n_all, x % n_all, q % n_all
                 r *= 2
+            if lanes:
+                break
     for n in composites:
-        if n not in factors:
+        if n not in factors and budget == math.inf:
             raise ArithmeticError(f"rho parameter sweep exhausted on {n}")
     return factors
+
+
+def _ladder(k: int, x: int, z: int, a24: int, n: int) -> tuple[int, int, int, int]:
+    """kP and (k+1)P from P = (x : z) on the Montgomery curve
+    b y^2 = x^3 + a x^2 + x modulo n, a24 = (a + 2) / 4: Montgomery's x-only
+    ladder in projective coordinates, from the point at infinity (1 : 0)."""
+    x1, z1, x2, z2 = 1, 0, x, z
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            x1, z1, x2, z2 = x2, z2, x1, z1
+        u, v = (x1 - z1) * (x2 + z2), (x1 + z1) * (x2 - z2)   # the sum, difference P
+        x2, z2 = z * (u + v) ** 2 % n, x * (u - v) ** 2 % n
+        s, d = (x1 + z1) ** 2 % n, (x1 - z1) ** 2 % n         # the double
+        x1, z1 = s * d % n, (s - d) * (d + a24 * (s - d)) % n
+        if bit == "1":
+            x1, z1, x2, z2 = x2, z2, x1, z1
+    return x1, z1, x2, z2
+
+
+@functools.cache
+def _ecm_tables(b1: int) -> tuple[int, int, list[list[int]]]:
+    """ECM's stage-1 multiplier for bound b1, lcm(1, ..., b1), the product of
+    the prime powers up to b1; and its stage 2 from giant step m0 on: for
+    each m, the j < _ECM_D / 2 with m * _ECM_D +- j a prime in (b1, 50 * b1].
+    Built on first use, not at import."""
+    by_m: dict[int, set[int]] = {}
+    for q in primes_upto(50 * b1):
+        if q > b1:
+            m = (q + _ECM_D // 2) // _ECM_D
+            by_m.setdefault(m, set()).add(abs(q - m * _ECM_D))
+    m0 = min(by_m)
+    stage2 = [sorted(by_m.get(m, ())) for m in range(m0, max(by_m) + 1)]
+    return math.lcm(*range(1, b1 + 1)), m0, stage2
+
+
+def _ecm_stage2(x: int, z: int, a24: int, n: int, m0: int, stage2: list[list[int]]) -> int:
+    """ECM's stage 2 from the stage-1 point Q = (x : z): baby steps jQ for
+    odd j < _ECM_D / 2 and giant steps m * _ECM_D * Q from m = m0 on, one
+    product x_m z_j - x_j z_m per pair that covers a prime; the gcd of n and
+    the product, taken once per giant step, at the first that exceeds 1."""
+    _, _, x2, z2 = _ladder(1, x, z, a24, n)
+    baby, back, point = {}, (x, z), (x, z)
+    for j in range(1, _ECM_D // 2, 2):   # jQ + 2Q = (j + 2)Q, difference (j - 2)Q
+        baby[j] = point
+        u, v = (point[0] - point[1]) * (x2 + z2), (point[0] + point[1]) * (x2 - z2)
+        back, point = point, (back[1] * (u + v) ** 2 % n, back[0] * (u - v) ** 2 % n)
+    xd, zd, _, _ = _ladder(_ECM_D, x, z, a24, n)
+    xm, zm, xn, zn = _ladder(m0, xd, zd, a24, n)
+    product = 1
+    for js in stage2:
+        for j in js:
+            product = product * (xm * baby[j][1] - baby[j][0] * zm) % n
+        g = math.gcd(product, n)
+        if g > 1:
+            return g
+        u, v = (xn - zn) * (xd + zd), (xn + zn) * (xd - zd)
+        xm, zm, xn, zn = xn, zn, zm * (u + v) ** 2 % n, xm * (u - v) ** 2 % n
+    return 1
+
+
+def _ecm(n: int) -> int | None:
+    """A nontrivial factor of n, an odd composite with no small prime factor
+    and no perfect power, by Lenstra's elliptic curve method on Montgomery
+    curves with Suyama's parametrisation (Montgomery 1987, Math. Comp. 48):
+    stage 1 multiplies a point by ``_ecm_tables``' multiplier with the x-only
+    ladder, and ``_ecm_stage2`` follows.  The curves run in the order of
+    ``_ECM_SCHEDULE``, so repeated calls agree; a curve that meets every
+    prime of n at once (g = n) gives way to the next.  None when the
+    schedule ends unsplit."""
+    sigmas = itertools.count(6)
+    for b1, curves in _ECM_SCHEDULE:
+        multiplier, m0, stage2 = _ecm_tables(b1)
+        for sigma in itertools.islice(sigmas, curves):
+            u, v = sigma * sigma - 5, 4 * sigma
+            g = math.gcd(16 * u**3 * v, n)
+            if g == 1:
+                a24 = (v - u) ** 3 * (3 * u + v) * pow(16 * u**3 * v, -1, n) % n
+                x, z, _, _ = _ladder(multiplier, u**3 % n, v**3 % n, a24, n)
+                g = math.gcd(z, n)
+                if g == 1:
+                    g = _ecm_stage2(x, z, a24, n, m0, stage2)
+            if 1 < g < n:
+                return g
+    return None
 
 
 def _iroot(n: int, k: int) -> int:
@@ -336,7 +444,8 @@ def _split(staged: dict[int, tuple[dict[int, int], int]],
     powers stripped so far and the rest m, a product of primes.  A piece of m
     is prime when ``proven`` says so, asked once per distinct piece of each
     n; a composite is split by an exact-root test or, with every composite
-    of the round, by ``_rho_lanes``."""
+    of the round, by ``_rho_lanes`` under ``_RHO_BUDGET``, then by ``_ecm``,
+    then by ``_rho_lanes`` with no budget."""
     pending = {n: {m: 1} for n, (_, m) in staged.items() if m > 1}   # factor: multiplicity
     while pending:
         walks = []   # (n, composite, multiplicity)
@@ -352,7 +461,12 @@ def _split(staged: dict[int, tuple[dict[int, int], int]],
                     m, e = root, e * k
                 else:
                     found[m] = found.get(m, 0) + e
-        factors = _rho_lanes(list(dict.fromkeys(m for _, m, _ in walks)))
+        composites = list(dict.fromkeys(m for _, m, _ in walks))
+        factors = _rho_lanes(composites, _RHO_BUDGET)
+        for m in composites:
+            if m not in factors and (f := _ecm(m)):
+                factors[m] = f
+        factors.update(_rho_lanes([m for m in composites if m not in factors]))
         pending = {}
         for n, m, e in walks:
             pieces = pending.setdefault(n, {})

@@ -1,8 +1,10 @@
+import collections
 import hashlib
 import math
 import random
 
 import pytest
+import sympy
 
 from prodsets import arith
 from prodsets.acceptance import (
@@ -201,6 +203,63 @@ def test_a_lane_that_meets_both_primes_in_one_block_retries_with_the_next_c():
     assert arith._rho_lanes([n])[n] == 1223
     factors = arith._rho_lanes(others[:7] + [n] + others[7:])
     assert factors == {m: arith._rho_lanes([m])[m] for m in others + [n]}
+
+
+def ecm_corpus(count=20, seed=20261020):
+    """The primes of odd composites whose least prime p has 24-44 bits, past
+    what the rho lane budget splits: p*q, or p*s*q for every third one, with
+    s of up to 36 bits and q of up to 48 bits, both above p."""
+    rng = random.Random(seed)
+    corpus = []
+    while len(corpus) < count:
+        three = len(corpus) % 3 == 0
+        low = rng.randint(24, 32 if three else 44)
+        primes = [random_prime(rng, low)]
+        if three:
+            primes.append(random_prime(rng, rng.randint(low, 36)))
+        primes.append(random_prime(rng, rng.randint(low, 48)))
+        if min(primes[1:]) > primes[0]:
+            corpus.append(primes)
+    return corpus
+
+
+def test_ecm_splits_its_corpus_and_agrees_with_itself(monkeypatch):
+    # the drawn primes are the oracle: sympy.factorint takes 11 s on these
+    expected = {math.prod(primes): dict(collections.Counter(primes)) for primes in ecm_corpus()}
+    assert all(sympy.isprime(p) for factors in expected.values() for p in factors)
+    split = {}   # every composite of the batch that reaches ECM: its factor
+    ecm = arith._ecm
+    monkeypatch.setattr(arith, "_ecm", lambda n: split.setdefault(n, ecm(n)))
+    factored = factorize_batch(expected)
+    assert {n: dict(f.factors) for n, f in factored.items()} == expected
+    assert len(set(expected) & set(split)) >= 15, sorted(split)
+    assert all(f is not None and 1 < f < n and n % f == 0 for n, f in split.items())
+    again = sorted(split)[::4]
+    assert [ecm(n) for n in again] == [split[n] for n in again]
+
+
+def test_ecm_takes_the_lanes_the_rho_budget_leaves_open(rho_calls, monkeypatch):
+    # rho needs about 2^16 steps for a 32-bit prime, four times its budget
+    n = 4294967291 * 4294967311
+    ecm_calls = []
+    ecm = arith._ecm
+    monkeypatch.setattr(arith, "_ecm", lambda m: ecm_calls.append(m) or ecm(m))
+    assert factorize(n).factors == ((4294967291, 1), (4294967311, 1))
+    assert [walked for walked in rho_calls if walked] == [[n]] and ecm_calls == [n]
+    assert arith._rho_lanes([n], arith._RHO_BUDGET) == {}
+
+
+def test_a_composite_ecm_meets_whole_falls_back_to_the_unbudgeted_walk(rho_calls, monkeypatch):
+    # every curve of the schedule meets 2017 and 2417 at once (g = n); with
+    # no rho budget the composite reaches ECM, then the walk with no budget
+    n = 2017 * 2417
+    found = []
+    ecm = arith._ecm
+    monkeypatch.setattr(arith, "_ecm", lambda m: found.append(ecm(m)) or found[-1])
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 0)
+    assert factorize(n).factors == ((2017, 1), (2417, 1))
+    assert found == [None]
+    assert [walked for walked in rho_calls if walked] == [[n], [n]]
 
 
 def test_a_composite_shared_by_values_is_walked_once(rho_calls):

@@ -9,6 +9,9 @@ filter, witness cases 1-3, and terms divisible by prime squares, cubes and
 fourth powers just above 2^10 and 2^16.  The 150-term window of ``x^4+1``
 at ``r = 10^5``, whose 63 cofactors left by the medium stage fill three
 16-lane rho walks, was recorded while rho walked one composite at a time.
+The 100-term window of ``x^2+1`` at ``r = 2^47 + 12345``, whose 95-bit
+terms leave composites with least primes of up to 44 bits, was recorded
+while rho walked every lane until it split, with no step budget and no ECM.
 The three entries for linear pairs at ``x`` near ``2^33`` (cases 2 and 3)
 and for ``(x-5)(x-7)`` on ``r = 0``, whose factor values are negative or
 -1, were recorded while each witness term was factored as one product
@@ -80,6 +83,8 @@ CORPUS = [
                         "--filter", "above", "--out", "w.csv"]),
     ("x^4+1-R150", ["window", "--poly", "1,0,0,0,1", "--r", "100000", "--R", "150",
                     "--filter", "above"]),
+    ("x^2+1-95bit-R100", ["window", "--poly", "1,0,1", "--r", "140737488367673",
+                          "--R", "100", "--filter", "above"]),
     ("witness-case1-default-gamma", ["witness", "--poly-factors", "1,0,1",
                                      "--r", "1000", "--R", "50"]),
     ("witness-case1-out", ["witness", "--poly-factors", "2,1,1;1,1", "--r", "5000",
@@ -194,6 +199,8 @@ REFERENCE = {
     "deg4-66bit-out": ("f7d10f3cebd5dabb868e6e9684abf892d6e657ffca11697facf4bcaf771973b4",
         "12076554cc5809ce3de8a3e326cd6032c518b73e612960bc3e1d080077310a73"),
     "x^4+1-R150": ("690c3eb95cfa6b2285674550f96bae40701e95061be13ca540ca535659576bda",
+        None),
+    "x^2+1-95bit-R100": ("cb3f0d20e9224b03c17422c6369dde0fb0caf34ae12b8a45de5c1e3e99f67b07",
         None),
     "witness-case1-default-gamma": ("306f98e65c4dee5593c7c7af5a8af2d87d2839fb2d34f5cf066e8f1a3005d300",
         None),
