@@ -23,7 +23,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Iterable, NamedTuple
+from collections import namedtuple
+from typing import Callable, Iterable
 
 
 class DeskScaleError(ValueError):
@@ -203,12 +204,7 @@ def is_prime(n: int) -> bool:
 # Factorization
 # ---------------------------------------------------------------------------
 
-class _FactorizationFields(NamedTuple):
-    subject: int
-    factors: tuple[tuple[int, int], ...]
-
-
-class Factorization(_FactorizationFields):
+class Factorization(namedtuple("Factorization", "subject factors")):
     """Prime factorization of ``subject`` as (prime, exponent) pairs.
 
     Primes strictly increasing, exponents >= 1, and the product of the
@@ -263,7 +259,9 @@ def _rho_lanes(composites: list[int], budget: float = math.inf) -> dict[int, int
             if not lanes:
                 break
             n_all = math.prod(lanes)
-            y, r, q = 2, 1, 1
+            # from y_2, r = 2: the r = 1 block's one product, 2 - y_2 =
+            # -(c + 2)(c + 7), has only primes below 107, and so splits no lane
+            y, r, q = (4 + c)**2 + c, 2, 1
             while lanes and r <= budget:
                 x = y
                 for _ in range(r):
@@ -271,11 +269,7 @@ def _rho_lanes(composites: list[int], budget: float = math.inf) -> dict[int, int
                 k = 0
                 while k < r and lanes:
                     ys = y
-                    steps = min(128, r - k)
-                    if steps & 1:
-                        y = (y * y + c) % n_all
-                        q = q * (x - y) % n_all
-                    for _ in range(steps >> 1):   # two steps per reduction of q
+                    for _ in range(min(128, r - k) >> 1):   # two steps per reduction of q
                         y1 = (y * y + c) % n_all
                         y = (y1 * y1 + c) % n_all
                         q = q * (x - y1) * (x - y) % n_all

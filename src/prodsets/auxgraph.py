@@ -9,20 +9,15 @@ vertices of the copies are the strings "L:b" and "R:b".
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from typing import NamedTuple, Optional
 
 ONE_CLASS = "one"
 TWO_CLASS = "two"
 
 
-class _AuxGraphFields(NamedTuple):
-    mode: str
-    base: tuple
-    edges: tuple  # (b1, b2, value), b1 <= b2, exactly one per member value
-
-
-class AuxGraph(_AuxGraphFields):
+# edges: (b1, b2, value), b1 <= b2, exactly one per member value
+class AuxGraph(namedtuple("AuxGraph", "mode base edges")):
     __slots__ = ()
 
     def __new__(cls, mode: str, base: tuple, edges: tuple):

@@ -9,6 +9,7 @@ a product set B.B into an executable lower bound on |B|.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -28,11 +29,7 @@ MAX_TERM_BITS = 96
 MAX_POWER_BITS = 10**6   # size of r^q and R^p in the exact case-2/3 split
 
 
-class _PolynomialZFields(NamedTuple):
-    coeffs: tuple[int, ...]
-
-
-class PolynomialZ(_PolynomialZFields):
+class PolynomialZ(namedtuple("PolynomialZ", "coeffs")):
     """Integer polynomial; coefficients constant-term first, never zero."""
 
     __slots__ = ()

@@ -22,35 +22,24 @@ def _normalize(value) -> Exact:
     return value
 
 
-class BaseSet:
-    """Finite set of positive integers or exact rationals, kept sorted."""
+class BaseSet(tuple):
+    """Finite set of positive integers or exact rationals: the tuple of its
+    distinct elements, sorted.  Pickle and copy rebuild it through
+    ``__new__`` from tuple's own ``__getnewargs__``, ``(tuple(self),)``."""
 
-    __slots__ = ("elements",)
+    __slots__ = ()
 
-    def __init__(self, elements: Iterable):
+    def __new__(cls, elements: Iterable):
         normalized = {_normalize(e) for e in elements}
         for e in normalized:
             if e <= 0:
                 raise ValueError("base-set elements must be positive")
-        self.elements: tuple[Exact, ...] = tuple(sorted(normalized))
+        return super().__new__(cls, sorted(normalized))
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, item) -> bool:
-        return item in self.elements
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BaseSet) and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash(self.elements)
+    elements = property(tuple, doc="The elements as a plain tuple.")
 
     def __repr__(self) -> str:
-        return f"BaseSet({list(self.elements)!r})"
+        return f"BaseSet({list(self)!r})"
 
 
 def build_product_set(base: BaseSet) -> dict:
@@ -62,10 +51,9 @@ def build_product_set(base: BaseSet) -> dict:
     if len(base) == 0:
         raise ValueError("cannot build the product set of an empty set")
     collected: dict[Exact, list] = {}
-    elems = base.elements
     # a runs up the sorted elements, so each value's pairs arrive ascending
-    for i, a in enumerate(elems):
-        for b in elems[i:]:
+    for i, a in enumerate(base):
+        for b in base[i:]:
             collected.setdefault(_normalize(a * b), []).append((a, b))
     return {v: tuple(collected[v]) for v in sorted(collected)}
 
@@ -87,14 +75,13 @@ def sequence_members(base: BaseSet, kind: SequenceKind) -> list[SequenceMember]:
     non-integral product is no key of it; an integral Fraction is equal to
     its int.
     """
-    elems = base.elements
-    if not elems:
+    if not base:
         raise ValueError("cannot search the product set of an empty set")
-    table = term_table(kind, int(elems[-1] * elems[-1]))  # int() floors a positive Fraction
+    table = term_table(kind, int(base[-1] * base[-1]))  # int() floors a positive Fraction
     found: dict[int, list] = {}
     # a runs up the sorted elements, so each value's pairs arrive ascending
-    for i, a in enumerate(elems):
-        for b in elems[i:]:
+    for i, a in enumerate(base):
+        for b in base[i:]:
             value = a * b
             if value in table:
                 found.setdefault(int(value), []).append((a, b))

@@ -7,20 +7,16 @@ U_2 = P, V_1 = P, V_2 = P^2 - 2Q, all following X_k = P X_{k-1} - Q X_{k-2}.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import islice
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .arith import factorize
 
 DEGENERATE_PAIRS = frozenset({(1, 1), (-1, 1), (0, 1), (0, -1)})
 
 
-class _LucasSpecFields(NamedTuple):
-    p: int
-    q: int
-
-
-class LucasSpec(_LucasSpecFields):
+class LucasSpec(namedtuple("LucasSpec", "p q")):
     """Parameters (P, Q) of the recurrences U_n and V_n."""
 
     __slots__ = ()

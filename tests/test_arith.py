@@ -445,6 +445,18 @@ def test_factorize_and_the_selftest_windows_never_build_the_medium_table(monkeyp
         factorize_batch([1031 * 1033])
 
 
+def test_every_composite_walked_by_rho_has_no_prime_below_the_trial_bound(rho_calls):
+    # _rho_lanes starts at its r = 2 block because the r = 1 block's product,
+    # -(c + 2)(c + 7), has only primes below 107, which divide no lane
+    r = 10**6
+    factorize_batch((r + i)**2 + 1 for i in range(1, 201))
+    for n in PROVEN_ONCE_CORPUS:
+        factorize(n)
+    walked = [n for call in rho_calls for n in call]
+    assert walked
+    assert all(math.gcd(n, arith._PRIMORIAL) == 1 for n in walked)
+
+
 def test_factorize_splits_the_first_square_above_the_trial_bound():
     assert factorize(1031**2).factors == ((1031, 2),)
     with pytest.raises(ValueError):

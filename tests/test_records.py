@@ -1,5 +1,10 @@
-"""The contract of the ten result records: immutable, compared and hashed by
-their fields, the same reprs, and validated however they are built."""
+"""The contract of the ten result records and of BaseSet: immutable values,
+compared and hashed by their fields, the same reprs, validated however they
+are built, and rebuilt as themselves by pickle and copy."""
+
+import copy
+import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -66,3 +71,26 @@ def test_a_valid_replace_keeps_the_type_and_normalises():
     assert type(FIBONACCI._replace(q=-2)) is LucasSpec
     assert PolynomialZ([1])._replace(coeffs=(3, 1, 0)).coeffs == (3, 1)
     assert isinstance(factorize(12)._replace(subject=12), Factorization)
+
+
+def test_base_set_is_the_sorted_tuple_of_its_elements():
+    base = BaseSet([3, 1, 2, 2])
+    assert base == (1, 2, 3) and hash(base) == hash((1, 2, 3))
+    with pytest.raises(AttributeError):
+        base.elements = (4,)
+    with pytest.raises(AttributeError):
+        base.extra = 1
+
+
+VALUES = {**{name: build for name, (_, build) in RECORDS.items()},
+          "BaseSet": lambda: BaseSet([Fraction(1, 2), 3, 3])}
+
+
+@pytest.mark.parametrize("clone", [lambda value: pickle.loads(pickle.dumps(value)),
+                                   copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+@pytest.mark.parametrize("name", VALUES)
+def test_a_copy_is_an_equal_value_of_the_same_type(name, clone):
+    value = VALUES[name]()
+    again = clone(value)
+    assert type(again) is type(value) and again == value
