@@ -4,12 +4,13 @@ Each member value a of the product set gets exactly one edge for a chosen
 representation a = b1 * b2.  In ONE_CLASS mode the edge joins b1 and b2 on a
 single copy of B (squares become self-loops); in TWO_CLASS mode it joins b1
 in a left copy to b2 in a right copy, so self-loops cannot occur.  The
-vertices of the copies are the strings "L:b" and "R:b".
+vertices of the copies are the strings "L:b" and "R:b".  Cycles and
+components come from one forest walk over the edges in order.
 """
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from typing import NamedTuple, Optional
 
 ONE_CLASS = "one"
@@ -68,44 +69,45 @@ def build_aux_graph(base, members, mode: str) -> AuxGraph:
     return AuxGraph(mode, tuple(sorted(set(base))), tuple(edges))
 
 
-def _edge_endpoints(graph: AuxGraph):
-    """Vertex-label endpoints of each edge, skipping self-loops."""
-    out = []
-    for b1, b2, _ in graph.edges:
-        if graph.mode == TWO_CLASS:
-            out.append((f"L:{b1}", f"R:{b2}"))
-        elif b1 != b2:
-            out.append((b1, b2))
-    return out
+def _forest_path(forest, start, goal) -> Optional[list]:
+    """The vertex path from start to goal in the forest (an adjacency
+    dict), or None when they lie in different trees."""
+    if start not in forest or goal not in forest:
+        return None
+    toward_goal = {goal: None}        # a search from goal; tree paths are unique
+    stack = [goal]
+    while stack and start not in toward_goal:
+        node = stack.pop()
+        for nxt in forest[node]:
+            if nxt not in toward_goal:
+                toward_goal[nxt] = node
+                stack.append(nxt)
+    if start not in toward_goal:
+        return None
+    path = [start]
+    while path[-1] != goal:
+        path.append(toward_goal[path[-1]])
+    return path
 
 
 def _walk(graph: AuxGraph) -> tuple[Optional[list], int]:
-    """One union-find pass over the non-loop edges in order: the first
-    cycle (the path that closes it, as find_cycle reports it, or None) and
-    the number of unions that merged two components."""
-    parent: dict = {}
-
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    adjacency: dict = {}
+    """One forest walk over the non-loop edges in order: the forest path
+    joining the ends of the first edge that closes a cycle (or None), and
+    the number of edges that joined the forest, merging two components."""
+    forest: dict = {}
     cycle = None
     merges = 0
-    for u, v in _edge_endpoints(graph):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            if cycle is None:
-                cycle = _bfs_path(adjacency, u, v)
+    for b1, b2, _ in graph.edges:
+        u, v = (f"L:{b1}", f"R:{b2}") if graph.mode == TWO_CLASS else (b1, b2)
+        if u == v:
             continue
-        parent[ru] = rv
-        merges += 1
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
+        path = _forest_path(forest, u, v)
+        if path is None:
+            forest.setdefault(u, []).append(v)
+            forest.setdefault(v, []).append(u)
+            merges += 1
+        elif cycle is None:
+            cycle = path
     return cycle, merges
 
 
@@ -116,25 +118,6 @@ def find_cycle(graph: AuxGraph) -> Optional[list]:
     Self-loops never participate; a repeated vertex pair counts as a 2-cycle.
     """
     return _walk(graph)[0]
-
-
-def _bfs_path(adjacency, start, goal):
-    # start != goal: _walk sees only non-loop edges
-    queue = deque([start])
-    came_from = {start: None}
-    while queue:
-        node = queue.popleft()
-        for nxt in adjacency.get(node, ()):
-            if nxt not in came_from:
-                came_from[nxt] = node
-                if nxt == goal:
-                    path = [goal]
-                    while path[-1] != start:
-                        path.append(came_from[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(nxt)
-    raise RuntimeError("endpoints not connected despite matching roots")
 
 
 class EdgeBoundReport(NamedTuple):
@@ -150,7 +133,7 @@ class EdgeBoundReport(NamedTuple):
 
 def edge_bound_report(graph: AuxGraph) -> EdgeBoundReport:
     """Edge/vertex counts, the first cycle (ignoring self-loops), components
-    and the forest bound, from one union-find pass."""
+    and the forest bound, from one forest walk."""
     vertices = graph.vertices
     loops = len(graph.self_loops)
     cycle, merges = _walk(graph)

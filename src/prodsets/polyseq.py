@@ -391,6 +391,10 @@ def window_witness(factors: Sequence[PolynomialZ], r: int, window_length: int,
     """
     if not factors:
         raise ValueError("need at least one irreducible factor")
+    for f in factors:
+        if f.degree == 0:
+            raise ValueError(f"factor {f.coeffs[0]} is a constant; every factor "
+                             "needs degree >= 1")
     if math.prod(f.leading for f in factors) <= 0:
         raise ValueError("the product must have a positive leading coefficient")
     R = window_length

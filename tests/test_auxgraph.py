@@ -129,6 +129,17 @@ def test_edge_bound_report_matches_a_search_oracle():
     # components by depth-first search; without self-loops a graph is a
     # forest iff its edges number vertices - components.  Products of two
     # primes are distinct, so any pair list over a prime base is a graph.
+    def reachable(links, start):
+        seen, stack = {start}, [start]
+        while stack:
+            node = stack.pop()
+            for u, v in links:
+                for a, b in ((u, v), (v, u)):
+                    if a == node and b not in seen:
+                        seen.add(b)
+                        stack.append(b)
+        return seen
+
     rng = random.Random(11)
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
     for _ in range(400):
@@ -161,10 +172,20 @@ def test_edge_bound_report_matches_a_search_oracle():
             assert report.num_components == components, (mode, base, edges)
             assert report.acyclic == (len(links) == len(vertices) - components)
             assert report.cycle == find_cycle(graph)
-            if report.cycle is not None:
+            # the reported cycle is closed by the first edge whose ends the
+            # earlier edges already join, and runs along those earlier edges
+            closing = next((i for i, (u, v) in enumerate(links)
+                            if v in reachable(links[:i], u)), None)
+            if closing is None:
+                assert report.cycle is None
+            else:
                 cycle = report.cycle
                 assert len(set(cycle)) == len(cycle) >= 3
                 assert all(cycle[i - 1] in neighbours[cycle[i]] for i in range(len(cycle)))
+                assert (cycle[0], cycle[-1]) == links[closing]
+                earlier = {frozenset(link) for link in links[:closing]}
+                assert all(frozenset(cycle[j:j + 2]) in earlier
+                           for j in range(len(cycle) - 1))
 
 
 def test_forest_bound_on_acyclic_graphs():

@@ -152,6 +152,8 @@ def test_bad_flags_exit_two(capsys):
      "[Errno 2] No such file or directory: ''"),
     (["graph", "--set", "1,2", "--seq", "fib", "--dump", ""],
      "[Errno 2] No such file or directory: ''"),
+    (["witness", "--poly-factors", "3;0,1", "--r", "0", "--R", "6"],
+     "factor 3 is a constant; every factor needs degree >= 1"),
 ])
 def test_bad_values_exit_two(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from prodsets import polyseq
 from prodsets.arith import DeskScaleError, factorize, primes_in_range
 from prodsets.polyseq import (
     ABOVE_R,
@@ -359,7 +360,7 @@ def test_window_witness_empty_cover():
     assert report.b_lower_bound == 1
 
 
-def test_window_witness_validates_input():
+def test_window_witness_validates_input(monkeypatch):
     with pytest.raises(ValueError):
         window_witness([], 0, 10)
     with pytest.raises(ValueError):
@@ -368,6 +369,16 @@ def test_window_witness_validates_input():
         window_witness([PolynomialZ([0, -1])], 0, 10)       # negative leading
     with pytest.raises(ValueError):
         window_witness([PolynomialZ([-100, 1])], 0, 10)     # non-positive window
+    # a constant is no irreducible factor, and the case split would file it
+    # under the all-linear cases 2/3; it is named before any term is factored
+    calls = []
+    monkeypatch.setattr(polyseq, "factorize_batch", calls.append)
+    for factors, constant in (([PolynomialZ([3]), PolynomialZ([0, 1])], 3),
+                              ([PolynomialZ([3])], 3),
+                              ([PolynomialZ([1, 0, 1]), PolynomialZ([-2])], -2)):
+        with pytest.raises(ValueError, match=f"^factor {constant} is a constant"):
+            window_witness(factors, 0, 6)
+    assert calls == []
 
 
 def test_window_witness_multiple_factors():
