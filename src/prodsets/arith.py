@@ -133,41 +133,30 @@ def _jacobi(a: int, n: int) -> int:
 
 
 def _strong_lucas_prp(n: int) -> bool:
-    # Standard strong Lucas probable-prime test with Selfridge parameters.
+    # Strong Lucas test (Baillie and Wagstaff 1980, Math. Comp. 35) with
+    # Selfridge's D, the first of 5, -7, 9, ... with (D/n) = -1, P = 1 and
+    # Q = (1 - D) / 4; n + 1 = d 2^s with d odd.  Montgomery's V chain carries
+    # (V_k, V_k+1, Q^k) up the bits of d, and U_d = 0 reads 2 V_d+1 = V_d
+    # (mod n): D U_k = 2 V_k+1 - P V_k, and (D/n) = -1 makes D prime to n.
     # Caller guarantees n odd, n > 37, no factor among _SMALL_PRIMES.
     if math.isqrt(n) ** 2 == n:
         return False
     d = 5
-    while True:
-        j = _jacobi(d % n, n)
-        if j == -1:
-            break
+    while (j := _jacobi(d, n)) != -1:
         if j == 0 and abs(d) < n:
             return False
         d = -(d + 2) if d > 0 else -(d - 2)
-    p, q = 1, (1 - d) // 4
-    m = n + 1
-    s = (m & -m).bit_length() - 1
-    dd = m >> s
-    u, v, qk = 1, p, q % n
-    for bit in bin(dd)[3:]:
-        u = u * v % n
-        v = (v * v - 2 * qk) % n
-        qk = qk * qk % n
+    q, s = (1 - d) // 4 % n, ((n + 1) & -(n + 1)).bit_length() - 1
+    v, w, qk = 2, 1, 1   # (V_k, V_k+1, Q^k) at k = 0
+    for bit in bin((n + 1) >> s)[2:]:
         if bit == "1":
-            u, v = p * u + v, d * u + p * v
-            if u & 1:
-                u += n
-            if v & 1:
-                v += n
-            u = (u >> 1) % n
-            v = (v >> 1) % n
-            qk = qk * q % n
-    if u == 0 or v == 0:
+            v, w, qk = (v * w - qk) % n, (w * w - 2 * qk * q) % n, qk * qk * q % n
+        else:
+            v, w, qk = (v * v - 2 * qk) % n, (v * w - qk) % n, qk * qk % n
+    if 2 * w % n == v or v == 0:
         return True
     for _ in range(s - 1):
-        v = (v * v - 2 * qk) % n
-        qk = qk * qk % n
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
         if v == 0:
             return True
     return False

@@ -112,14 +112,21 @@ def term_index(kind: SequenceKind, value: int) -> Optional[int]:
     return term_table(kind, value).get(value)
 
 
+def _spec(spec: LucasSpec) -> LucasSpec:
+    if not isinstance(spec, LucasSpec):
+        raise TypeError(f"spec must be a LucasSpec, got {spec!r}")
+    return spec
+
+
 def lucas_u(spec: LucasSpec, n: int) -> int:
-    """U_n(P, Q): U_1 = 1, U_2 = P."""
-    return _nth(_terms(spec), n)
+    """U_n(P, Q) of a LucasSpec (P, Q): U_1 = 1, U_2 = P."""
+    return _nth(_terms(_spec(spec)), n)
 
 
 def lucas_v(spec: LucasSpec, n: int) -> int:
-    """V_n(P, Q): V_1 = P, V_2 = P^2 - 2Q."""
-    return _nth(_recurrence(spec.p, spec.q, 2, spec.p), n)
+    """V_n(P, Q) of a LucasSpec (P, Q): V_1 = P, V_2 = P^2 - 2Q."""
+    p, q = _spec(spec)
+    return _nth(_recurrence(p, q, 2, p), n)
 
 
 def is_fibonacci(m: int) -> Optional[int]:
@@ -135,10 +142,12 @@ def is_lucas_number(m: int) -> Optional[int]:
 
 
 def primitive_divisor(spec: LucasSpec, n: int) -> Optional[int]:
-    """Smallest prime dividing |U_n| but none of |U_1|, ..., |U_{n-1}|.
+    """Smallest prime dividing |U_n| of a LucasSpec but none of |U_1|, ...,
+    |U_{n-1}|.
 
     None when every prime factor of U_n already divides an earlier term.
     """
+    spec = _spec(spec)
     if n < 2:
         raise ValueError("primitive divisors are defined for n >= 2")
     terms = list(islice(_terms(spec), n))  # never 0: LucasSpec rejects the degenerate pairs

@@ -1,5 +1,5 @@
-"""factorize and is_prime against sympy over 1-80 bits; crt_solve against
-sympy's crt.
+"""factorize against sympy over 1-80 bits, is_prime over 1-128 bits and its
+strong Lucas round against sympy's; crt_solve against sympy's crt.
 
 Covers random integers, prime powers and prime-square multiples just above
 the trial-division cutover (and above 2^16, 10^6 and 2^31), exact powers of
@@ -22,14 +22,17 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.ntheory.modular import crt
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from prodsets.arith import (
     TRIAL_DIVISION_LIMIT,
     _MEDIUM_PRIME_LIMIT,
     _PRIMORIAL,
+    _SMALL_PRIMES,
     _iroot,
     _medium_primorial,
     _perfect_power,
+    _strong_lucas_prp,
     crt_solve,
     factorize,
     factorize_batch,
@@ -229,16 +232,33 @@ def test_factorize_powers_of_composites_above_the_cutover():
 
 
 @settings(ORACLE, max_examples=200)
-@given(st.integers(min_value=0, max_value=2**80))
-def test_is_prime_matches_sympy_up_to_80_bits(n):
+@given(st.integers(min_value=0, max_value=2**128))
+def test_is_prime_matches_sympy_up_to_128_bits(n):
     assert is_prime(n) == sympy.isprime(n), n
 
 
 @ORACLE
-@given(st.integers(min_value=2, max_value=80))
-def test_is_prime_accepts_primes_up_to_80_bits(bits):
+@given(st.integers(min_value=2, max_value=128))
+def test_is_prime_accepts_primes_up_to_128_bits(bits):
     assert is_prime(sympy.prevprime(2**bits + 1))
     assert is_prime(sympy.nextprime(2 ** (bits - 1)))
+
+
+# OEIS A217255: the strong Lucas pseudoprimes (Selfridge's parameters) below 10^5
+A217255 = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+
+
+def test_strong_lucas_round_matches_sympy():
+    # every odd n in [43, 10^5) that the round is asked about, and random
+    # odd n of 82-128 bits, where is_prime runs the round
+    rng = random.Random(31)
+    small = [n for n in range(43, 10**5, 2) if all(n % p for p in _SMALL_PRIMES)]
+    large = [rng.getrandbits(rng.randint(82, 128)) | 2**81 | 1 for _ in range(1000)]
+    large = [n for n in large if all(n % p for p in _SMALL_PRIMES)][:300]
+    assert len(large) == 300
+    for n in small + large:
+        assert _strong_lucas_prp(n) == is_strong_lucas_prp(n), n
+    assert [n for n in small if _strong_lucas_prp(n) and not sympy.isprime(n)] == A217255
 
 
 def test_carmichael_numbers_are_composite_and_factor():

@@ -1,7 +1,9 @@
 import json
 import os
 import stat
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -461,3 +463,20 @@ def test_a_negative_coefficient_list_is_joined_to_its_flag(capsys):
     code, out, _ = run_cli(["window", "--poly=-1,0,1", "--r", "1", "--R", "2",
                             "--filter", "above"], capsys)
     assert (code, out) == (0, "i,value,largest_prime_factor,qualifies\n1,3,3,true\n2,8,2,false\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("lucas-bound --set 1,2,3 --seq fib", 0),
+    ("window --poly 1,0,1 --r 0 --R 0 --filter above", 2),
+    ("fib-extremal --universe 41 --size 2", 3),
+])
+def test_python_m_prodsets_exits_with_the_code_of_main(argv, code):
+    # the one path through __main__.py and cli.run, which in-process tests skip
+    env = os.environ | {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-m", "prodsets"] + argv.split(), env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == code, result.stderr
+    if code:
+        assert result.stdout == "" and result.stderr.startswith("error: ")
+    else:
+        assert json.loads(result.stdout)["ok"] is True and result.stderr == ""

@@ -1,9 +1,11 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from prodsets import sequences
 from prodsets.productset import BaseSet, build_product_set, sequence_members
 from prodsets.sequences import (
     FIBONACCI,
@@ -176,6 +178,21 @@ def test_primitive_divisor_rejects_zero_terms():
         primitive_divisor(LucasSpec(1, 1), 3)   # U_3 = 0; the pair is rejected
     with pytest.raises(ValueError):
         primitive_divisor(FIBONACCI, 1)
+
+
+def refuse_terms(*args):
+    raise AssertionError("a term was computed")
+
+
+# LUCAS_V is a term-table marker, not a pair: taken as a pair it would make
+# lucas_u and primitive_divisor read V(1, -1) terms as U terms
+@pytest.mark.parametrize("function, n", [(lucas_u, 3), (lucas_v, 3), (primitive_divisor, 5),
+                                         (primitive_divisor, 1)])
+@pytest.mark.parametrize("spec", [LUCAS_V, (1, -1), None])
+def test_lucas_functions_take_a_lucas_spec_only(function, n, spec, monkeypatch):
+    monkeypatch.setattr(sequences, "_recurrence", refuse_terms)
+    with pytest.raises(TypeError, match=re.escape(f"spec must be a LucasSpec, got {spec!r}")):
+        function(spec, n)
 
 
 def test_is_lucas_number():
