@@ -87,6 +87,7 @@ _PRIMORIAL = math.prod(_TRIAL_PRIMES)   # gcd(n, _PRIMORIAL): the trial primes d
 # ---------------------------------------------------------------------------
 
 _SMALL_PRIMES = _TRIAL_PRIMES[:13]   # 2..41
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)   # 2 * 3 * ... * 41
 # (psi_k, k): below psi_k the first k primes are a proven deterministic
 # Miller-Rabin witness set, psi_k being the least odd composite that is a
 # strong pseudoprime to all of them (OEIS A014233; Jaeschke 1993,
@@ -173,20 +174,13 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    if n < 43 * 43:
-        return True
+    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
+        return n in _SMALL_PRIMES
     count = next((k for bound, k in _MR_BASE_COUNTS if n < bound), len(_SMALL_PRIMES))
     for base in _SMALL_PRIMES[:count]:
         if not _miller_rabin(n, base):
             return False
-    if n >= _MR_PROVEN_BOUND and not _strong_lucas_prp(n):
-        return False
-    return True
+    return n < _MR_PROVEN_BOUND or _strong_lucas_prp(n)
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +303,9 @@ def _ecm_tables(b1: int) -> tuple[int, int, list[list[int]]]:
     each m, the j < _ECM_D / 2 with m * _ECM_D +- j a prime in (b1, 50 * b1].
     Built on first use, not at import."""
     by_m: dict[int, set[int]] = {}
-    for q in primes_upto(50 * b1):
-        if q > b1:
-            m = (q + _ECM_D // 2) // _ECM_D
-            by_m.setdefault(m, set()).add(abs(q - m * _ECM_D))
+    for q in _sieve(b1 + 1, 50 * b1):
+        m = (q + _ECM_D // 2) // _ECM_D
+        by_m.setdefault(m, set()).add(abs(q - m * _ECM_D))
     m0 = min(by_m)
     stage2 = [sorted(by_m.get(m, ())) for m in range(m0, max(by_m) + 1)]
     return math.lcm(*range(1, b1 + 1)), m0, stage2
@@ -495,7 +488,7 @@ def _remainders(x: int, levels: list[list[int]]) -> list[int]:
 def _medium_primorial() -> int:
     """The product of the 6,370 primes in (TRIAL_DIVISION_LIMIT,
     _MEDIUM_PRIME_LIMIT], 92,608 bits; built on first use, not at import."""
-    return _product_tree(primes_upto(_MEDIUM_PRIME_LIMIT)[len(_TRIAL_PRIMES):])[-1][0]
+    return _product_tree(_sieve(TRIAL_DIVISION_LIMIT + 1, _MEDIUM_PRIME_LIMIT))[-1][0]
 
 
 def factorize_batch(values: Iterable[int]) -> dict[int, Factorization]:

@@ -107,8 +107,6 @@ def term_table(kind: SequenceKind, limit: int) -> dict[int, int]:
 
 def term_index(kind: SequenceKind, value: int) -> Optional[int]:
     """Smallest index whose term equals value, else None (see term_table)."""
-    if value < 1:
-        return None
     return term_table(kind, value).get(value)
 
 
@@ -151,11 +149,7 @@ def primitive_divisor(spec: LucasSpec, n: int) -> Optional[int]:
     if n < 2:
         raise ValueError("primitive divisors are defined for n >= 2")
     terms = list(islice(_terms(spec), n))  # never 0: LucasSpec rejects the degenerate pairs
-    target = abs(terms[-1])
-    if target == 1:
-        return None
-    earlier = [abs(t) for t in terms[:-1]]
-    for p, _ in factorize(target).factors:
-        if all(t % p != 0 for t in earlier):
+    for p, _ in factorize(abs(terms[-1])).factors:
+        if all(t % p != 0 for t in terms[:-1]):
             return p
     return None

@@ -67,7 +67,8 @@ def test_is_prime_small_values():
 
 
 def test_is_prime_matches_trial_division():
-    for n in range(0, 2000):
+    # crosses 43 * 47 = 2021 and 2047, the least strong pseudoprime to base 2
+    for n in range(-5, 2**14):
         assert is_prime(n) == oracle_is_prime(n), n
     assert is_prime(103681) == oracle_is_prime(103681)
 

@@ -11,7 +11,8 @@ medium stage of factorize_batch is checked against sympy and against
 factorize of each value, at the primes on both sides of 2^10 and 2^16 and
 at the 2^32 bound below which it takes a factor as prime without a test.
 The sieve behind primes_upto and primes_in_range is checked against sympy's
-primerange on ranges below 2, across 2^16 and narrow ones above 10^7.
+primerange on ranges below 2, across 2^16 and narrow ones above 10^7, and
+ECM's tables against lcm(1..B1) and the primes in (B1, 50 B1].
 """
 
 import math
@@ -26,9 +27,12 @@ from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from prodsets.arith import (
     TRIAL_DIVISION_LIMIT,
+    _ECM_D,
+    _ECM_SCHEDULE,
     _MEDIUM_PRIME_LIMIT,
     _PRIMORIAL,
     _SMALL_PRIMES,
+    _ecm_tables,
     _iroot,
     _medium_primorial,
     _perfect_power,
@@ -146,6 +150,19 @@ def test_medium_primorial_is_the_product_of_the_medium_primes():
     assert (len(medium), medium[0], medium[-1]) == (6370, 1031, 65521)
     assert _medium_primorial() == math.prod(medium)
     assert _medium_primorial().bit_length() == 92608
+
+
+@pytest.mark.parametrize("b1", [b1 for b1, _ in _ECM_SCHEDULE])
+def test_ecm_tables_match_sympy(b1):
+    multiplier, m0, stage2 = _ecm_tables(b1)
+    assert multiplier == math.lcm(*range(1, b1 + 1))
+    primes = set(sympy.primerange(b1 + 1, 50 * b1 + 1))
+    listed = {(m0 + i, j) for i, js in enumerate(stage2) for j in js}
+    for q in primes:
+        m = (q + _ECM_D // 2) // _ECM_D
+        assert (m, abs(q - m * _ECM_D)) in listed, q
+    for m, j in listed:
+        assert m * _ECM_D + j in primes or m * _ECM_D - j in primes, (m, j)
 
 
 def assert_batch_matches_oracles(values):

@@ -160,6 +160,12 @@ def test_primitive_divisor_examples():
     assert primitive_divisor(FIBONACCI, 12) is None
     assert primitive_divisor(FIBONACCI, 5) == 5
     assert primitive_divisor(FIBONACCI, 2) is None   # U_2 = 1
+    for p in (1, -1):   # U_n(+-1, 0) = (+-1)^(n-1): every |U_n| is 1
+        for n in range(2, 7):
+            assert primitive_divisor(LucasSpec(p, 0), n) is None, (p, n)
+    # U_n(-1, -1) = (-1)^(n-1) F_n: signed terms need no absolute value
+    for n in range(2, 31):
+        assert primitive_divisor(LucasSpec(-1, -1), n) == primitive_divisor(FIBONACCI, n), n
 
 
 def test_primitive_divisor_against_direct_scan():
@@ -213,6 +219,19 @@ def test_term_index_markers_and_specs():
     assert term_index(FIBONACCI, 9) is None
     with pytest.raises(TypeError):
         term_index("nonsense", 3)
+
+
+@pytest.mark.parametrize("kind", [FIBONACCI, LUCAS_V, LucasSpec(3, 2), LucasSpec(2, 3),
+                                  LucasSpec(1, -3), LucasSpec(1, 0), LucasSpec(-1, 0)])
+@pytest.mark.parametrize("value", [0, -1, -144])
+def test_term_index_of_a_value_below_one_is_none(kind, value):
+    assert term_index(kind, value) is None
+
+
+@pytest.mark.parametrize("value", [0, 5])
+def test_term_index_rejects_an_unknown_kind_for_every_value(value):
+    with pytest.raises(TypeError):
+        term_index("tribonacci", value)
 
 
 def test_term_index_is_exact_past_index_500():
