@@ -48,13 +48,14 @@ _RHO_LANES = 16
 # 5.6 ms at 32 (Python 3.11, 2-CPU shared host).  Budgets of 2^10-2^12 timed
 # the benchmark's window cycles within the host's drift, 2^13 slower; a
 # smaller one sends ECM composites of smaller primes, whose curves meet every
-# prime at once more often (all 300 curves do on 2017 * 2417)
+# prime at once more often (every curve does on 2017 * 2417)
 _RHO_BUDGET = 2**12
 # _ecm's curves: (B1, count) with B2 = 50 * B1 and Suyama's sigma = 6, 7, ...
 # over the whole schedule.  On the 264 composites of the benchmark's window
 # cycles (seeds 101-105) that the budget leaves, least primes of 21-33 bits,
 # it took 0.9 s where the lanes took 3.4 s, and it split every one
 _ECM_SCHEDULE = ((250, 40), (500, 60), (1000, 200))
+_ECM_WHOLE_RUN = 8   # _ecm gives n up after this many curves in a row meet it whole
 _ECM_D = 210   # stage 2's giant step: baby steps j < 105 prime to it pair every prime
 
 
@@ -343,9 +344,9 @@ def _ecm(n: int) -> int | None:
     stage 1 multiplies a point by ``_ecm_tables``' multiplier with the x-only
     ladder, and ``_ecm_stage2`` follows.  The curves run in the order of
     ``_ECM_SCHEDULE``, so repeated calls agree; a curve that meets every
-    prime of n at once (g = n) gives way to the next.  None when the
-    schedule ends unsplit."""
-    sigmas = itertools.count(6)
+    prime of n at once (g = n) gives way to the next.  None when the schedule
+    ends unsplit or ``_ECM_WHOLE_RUN`` curves in a row meet n whole."""
+    sigmas, whole = itertools.count(6), 0
     for b1, curves in _ECM_SCHEDULE:
         multiplier, m0, stage2 = _ecm_tables(b1)
         for sigma in itertools.islice(sigmas, curves):
@@ -357,8 +358,9 @@ def _ecm(n: int) -> int | None:
                 g = math.gcd(z, n)
                 if g == 1:
                     g = _ecm_stage2(x, z, a24, n, m0, stage2)
-            if 1 < g < n:
-                return g
+            whole = whole + 1 if g == n else 0
+            if 1 < g < n or whole == _ECM_WHOLE_RUN:
+                return g if g < n else None
     return None
 
 

@@ -3,7 +3,7 @@
 Subcommands run the experiment suites and emit machine-readable reports
 (JSON to stdout, CSV dumps to files); outputs are byte-stable for identical
 inputs.  Exit codes: 0 ok, 1 selftest violation, 2 bad flags or values,
-3 desk-scale guard.
+3 desk-scale guard.  A named subcommand builds only its own parser.
 """
 
 from __future__ import annotations
@@ -207,27 +207,19 @@ def _cmd_selftest(args) -> int:
     return 0 if acceptance.run_all() else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="prodsets",
-        description="Exact experiments on integer sequences in product sets B.B")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fib-extremal",
-                       help="max Fibonacci count over all subsets of {1..N}")
+# each adds a subcommand's arguments and sets its handler
+def _fib_extremal_args(p) -> None:
     p.add_argument("--universe", type=int, required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_fib_extremal)
 
-    p = sub.add_parser("lucas-bound",
-                       help="distinct sequence terms in B.B versus 2|B| + 30")
+def _lucas_bound_args(p) -> None:
     p.add_argument("--set", required=True)
     p.add_argument("--seq", required=True, help="fib, lucasV, or lucasU:P,Q")
     p.set_defaults(handler=_cmd_lucas_bound)
 
-    p = sub.add_parser("graph",
-                       help="representation graph for sequence members of B.B")
+def _graph_args(p) -> None:
     p.add_argument("--set", required=True)
     p.add_argument("--seq", required=True)
     p.add_argument("--mode", choices=(auxgraph.ONE_CLASS, auxgraph.TWO_CLASS),
@@ -235,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", default=None, help="write the edge list CSV here")
     p.set_defaults(handler=_cmd_graph)
 
-    p = sub.add_parser("window",
-                       help="per-term factor statistics of {f(r+1)..f(r+R)}")
+def _window_args(p) -> None:
     p.add_argument("--poly", required=True,
                    help="comma-separated coefficients, constant term first")
     p.add_argument("--r", type=int, required=True, metavar="r")
@@ -247,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the CSV here")
     p.set_defaults(handler=_cmd_window)
 
-    p = sub.add_parser("witness",
-                       help="lower bound on |B| from a window inside B.B")
+def _witness_args(p) -> None:
     p.add_argument("--poly-factors", required=True,
                    help="semicolon-separated irreducible factors, e.g. '1,0,1;0,1'")
     p.add_argument("--r", type=int, required=True, metavar="r")
@@ -257,19 +247,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_witness)
 
-    p = sub.add_parser("cover", help="fresh-neighbour cover of a bipartite graph")
+def _cover_args(p) -> None:
     p.add_argument("--graph", required=True,
                    help="file with lines 'b a1 a2 ...' (whitespace separated)")
     p.set_defaults(handler=_cmd_cover)
 
-    p = sub.add_parser("selftest", help="run the acceptance suite")
+def _selftest_args(p) -> None:
     p.set_defaults(handler=_cmd_selftest)
+
+
+_COMMANDS = {   # name: (help, the function that adds its arguments and handler)
+    "fib-extremal": ("max Fibonacci count over all subsets of {1..N}", _fib_extremal_args),
+    "lucas-bound": ("distinct sequence terms in B.B versus 2|B| + 30", _lucas_bound_args),
+    "graph": ("representation graph for sequence members of B.B", _graph_args),
+    "window": ("per-term factor statistics of {f(r+1)..f(r+R)}", _window_args),
+    "witness": ("lower bound on |B| from a window inside B.B", _witness_args),
+    "cover": ("fresh-neighbour cover of a bipartite graph", _cover_args),
+    "selftest": ("run the acceptance suite", _selftest_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="prodsets",
+        description="Exact experiments on integer sequences in product sets B.B")
+    # with one command, the metavar still names all seven in the usage line
+    sub = parser.add_subparsers(dest="command", required=True, metavar=None if command is None
+                                else "{" + ",".join(_COMMANDS) + "}")
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.handler(args)
     except DeskScaleError as exc:

@@ -251,15 +251,18 @@ def test_ecm_takes_the_lanes_the_rho_budget_leaves_open(rho_calls, monkeypatch):
 
 
 def test_a_composite_ecm_meets_whole_falls_back_to_the_unbudgeted_walk(rho_calls, monkeypatch):
-    # every curve of the schedule meets 2017 and 2417 at once (g = n); with
-    # no rho budget the composite reaches ECM, then the walk with no budget
+    # every curve meets 2017 and 2417 at once (g = n), and ECM gives the
+    # composite up after _ECM_WHOLE_RUN of them, not after the whole schedule;
+    # with no rho budget it reaches ECM, then the walk with no budget
     n = 2017 * 2417
-    found = []
-    ecm = arith._ecm
+    found, ladders = [], []
+    ecm, ladder = arith._ecm, arith._ladder
     monkeypatch.setattr(arith, "_ecm", lambda m: found.append(ecm(m)) or found[-1])
+    monkeypatch.setattr(arith, "_ladder", lambda *a: ladders.append(a) or ladder(*a))
     monkeypatch.setattr(arith, "_RHO_BUDGET", 0)
     assert factorize(n).factors == ((2017, 1), (2417, 1))
     assert found == [None]
+    assert 0 < len(ladders) <= arith._ECM_WHOLE_RUN == 8
     assert [walked for walked in rho_calls if walked] == [[n], [n]]
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from prodsets import acceptance, cli, polyseq
+from prodsets.cli import build_parser
 from prodsets.sequences import FIBONACCI, lucas_u
 
 
@@ -129,6 +130,109 @@ def test_bad_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["no-such-command"])
     assert info.value.code == 2
+
+
+def test_the_command_table_lists_the_subcommands_in_order():
+    # the one-command parser's metavar is built from the table
+    assert list(cli._COMMANDS) == SUBCOMMANDS
+
+
+def parse_outcome(parser, argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args(argv)
+    return (info.value.code, *capsys.readouterr())
+
+
+def main_outcome(capsys, *argv):
+    try:
+        code = cli.main(*argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The command of each build_parser call main makes."""
+    calls = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: calls.append(command) or build_parser(command))
+    return calls
+
+
+# per subcommand: the argv after its name that argparse rejects (a required
+# flag missing, a bad choice or type, a flag without its value) and one it takes
+PARSE_CASES = {
+    "fib-extremal": ([["--size", "2"], ["--universe", "x", "--size", "2"]],
+                     ["--universe", "5", "--size", "2"]),
+    "lucas-bound": ([["--seq", "fib"], ["--set", "1,2", "--seq"]],
+                    ["--set", "1,2", "--seq", "fib"]),
+    "graph": ([["--seq", "fib"], ["--set", "1,2", "--seq", "fib", "--mode", "three"]],
+              ["--set", "1,2", "--seq", "fib", "--mode", "two"]),
+    "window": ([["--poly", "0,1", "--r", "0", "--R", "5"],
+                ["--poly", "0,1", "--r", "0", "--R", "5", "--filter", "below"],
+                ["--poly", "0,1", "--r", "x", "--R", "5", "--filter", "above"]],
+               ["--poly", "0,1", "--r", "0", "--R", "5", "--filter", "above"]),
+    "witness": ([["--r", "0", "--R", "5"],
+                 ["--poly-factors", "0,1", "--r", "0", "--R", "5", "--gamma", "1/0"]],
+                ["--poly-factors", "0,1", "--r", "0", "--R", "5", "--gamma", "1/2"]),
+    "cover": ([[], ["--graph"]], ["--graph", "graph.txt"]),
+    "selftest": ([["--out", "x"]], []),
+}
+REJECTED = [[cmd, *tail] for cmd, (bad, good) in PARSE_CASES.items()
+            for tail in [["--help"], *bad, [*good, "--foo"]]]
+
+
+@pytest.mark.parametrize("argv", REJECTED, ids=" ".join)
+def test_one_subcommand_parser_exits_as_the_full_parser(argv, capsys, built):
+    one = parse_outcome(build_parser(argv[0]), argv, capsys)
+    assert one == parse_outcome(build_parser(), argv, capsys)
+    assert one[0] == (0 if "--help" in argv else 2)
+    assert main_outcome(capsys, argv) == one
+    assert built == [argv[0]]
+
+
+@pytest.mark.parametrize("cmd", SUBCOMMANDS)
+def test_one_subcommand_parser_reads_as_the_full_parser(cmd):
+    argv = [cmd, *PARSE_CASES[cmd][1]]
+    assert build_parser(cmd).parse_args(argv) == build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("cmd", SUBCOMMANDS)
+def test_one_subcommand_parser_holds_no_other(cmd, capsys):
+    parser = build_parser(cmd)
+    for other in SUBCOMMANDS:
+        if other != cmd:
+            code, out, err = parse_outcome(parser, [other, "--help"], capsys)
+            assert (code, out) == (2, "")
+            assert f"invalid choice: '{other}'" in err
+
+
+@pytest.mark.parametrize("argv, code, needles", [
+    ([], 2, ["error: the following arguments are required: command\n"]),
+    (["-h", "window"], 0, [help_text for help_text, _ in cli._COMMANDS.values()]),
+    (["no-such-command"], 2, ["invalid choice: 'no-such-command' (choose from "]),
+], ids=["no-command", "-h window", "unknown"])
+def test_main_builds_every_subparser_without_a_known_command(argv, code, needles, capsys,
+                                                             built):
+    outcome = main_outcome(capsys, argv)
+    assert built == [None]
+    assert outcome == parse_outcome(build_parser(), argv, capsys)
+    assert outcome[0] == code
+    assert all(needle in outcome[1 + (code == 2)] for needle in needles)
+
+
+@pytest.mark.parametrize("argv", [["lucas-bound", "--set", "1,2,3", "--seq", "fib"],
+                                  ["graph", "--set", "1,2", "--seq", "fib", "--mode", "x"],
+                                  ["no-such-command"]], ids=lambda argv: argv[0])
+def test_main_without_argv_reads_the_command_from_sys_argv(argv, capsys, monkeypatch,
+                                                           built):
+    # the console script calls main() with no argv
+    monkeypatch.setattr(sys, "argv", ["prodsets", *argv])
+    outcome = main_outcome(capsys)
+    assert built == [argv[0] if argv[0] in SUBCOMMANDS else None]
+    assert outcome == main_outcome(capsys, sys.argv[1:])
+    assert outcome[0] == (0 if argv[0] == "lucas-bound" else 2)
 
 
 @pytest.mark.parametrize("argv, message", [
