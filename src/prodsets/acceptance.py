@@ -204,26 +204,14 @@ def check_08_cover_bound() -> str:
         b_count = rng.randint(1, 50)
         min_a = -(-b_count // bound)
         a_count = rng.randint(min_a, min_a + 10)
-        capacity = [bound] * a_count
-        # open_a stays the ascending list of a-vertices with capacity left,
-        # so rng.choice draws the a it would draw from that list rebuilt per
-        # b; sample(k=0) draws no random bits, so skipping it keeps the stream
-        open_a = list(range(a_count))
-        neighbours = {}
+        # deal each b one slot, then up to two more while slots last; a
+        # repeated a collapses in the set, so a-degrees stay within bound
+        slots = [a for a in range(a_count) for _ in range(bound)]
+        rng.shuffle(slots)
+        neighbours = {b: {slots.pop()} for b in range(b_count)}
         for b in range(b_count):
-            a = rng.choice(open_a)
-            capacity[a] -= 1
-            if not capacity[a]:
-                open_a.remove(a)
-            neighbours[b] = {a}
-        for b in range(b_count):
-            k = min(rng.randint(0, 2), a_count)
-            if not k:
-                continue
-            for a in rng.sample(range(a_count), k=k):
-                if capacity[a] > 0 and a not in neighbours[b]:
-                    capacity[a] -= 1
-                    neighbours[b].add(a)
+            for _ in range(min(rng.randint(0, 2), len(slots))):
+                neighbours[b].add(slots.pop())
         adjacency = {b: sorted(s) for b, s in neighbours.items()}
         graph = coverlemma.Bipartite(adjacency)
         n = graph.degree_bound

@@ -460,9 +460,9 @@ def _split(staged: dict[int, tuple[dict[int, int], int]],
 
 def factorize(n: int) -> Factorization:
     """Exact prime factorization: trial division by the primes below
-    TRIAL_DIVISION_LIMIT that divide gcd(n, their product), then Pollard rho
-    splitting of the rest, each composite first tested for being an exact
-    power.  A factor left after trial division is prime if below
+    TRIAL_DIVISION_LIMIT that divide gcd(n, their product), then ``_split``
+    of the rest by exact roots, the budgeted rho lanes, ECM and rho with no
+    budget.  A factor left after trial division is prime if below
     TRIAL_DIVISION_LIMIT**2, else tested once by ``is_prime``."""
     return _split({n: _trial_stage(n)},
                   lambda m: m < TRIAL_DIVISION_LIMIT**2 or is_prime(m))[n]

@@ -103,7 +103,8 @@ def max_fib_count(universe_max: int, set_size: int) -> tuple[int, BaseSet]:
     inactive = [x for x in range(1, universe_max + 1) if x not in active]
     best_count, best_combo = -1, None
     if len(inactive) >= set_size:
-        # a B with no active element: no Fibonacci value
+        # a B with no active element: no Fibonacci value.  The walk always
+        # beats it, since 1 is active, but a term table without 1 needs it
         best_count, best_combo = 0, tuple(inactive[:set_size])
     for subset, pairs in core_subsets(members, set_size):
         fill = set_size - len(subset)

@@ -12,7 +12,7 @@ Exact = Union[int, Fraction]
 
 def _normalize(value) -> Exact:
     if type(value) is int:
-        # every product of an integer set lands here, ahead of the
+        # every element of an integer BaseSet lands here, ahead of the
         # isinstance test against Fraction, which goes through ABCMeta
         return value
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):

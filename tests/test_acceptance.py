@@ -77,9 +77,10 @@ def test_cover_bound_reports_a_failed_cover(monkeypatch):
 
 
 # selftest prints fixed text for checks 06 and 08, so only these digests see
-# a redrawn corpus or a changed outcome: sha256 over one repr per line
+# a redrawn corpus or a changed outcome: sha256 over one repr per line.  The
+# cover corpus is dealt from capacity slots, bound of them per a-vertex
 LUCAS_CORPUS_SHA256 = "273d4ca98c638905c58ed35b48aea6d14eaae922236a6e3cb3e765d333e03c64"
-COVER_CORPUS_SHA256 = "56b8ee82de146f221f59f565660f680debbdfaebe04252c822d62aa7b8989d27"
+COVER_CORPUS_SHA256 = "453f6bdad74a7c130343ebc13a9c65d48dba6258a928c90649c2227e886b045e"
 
 
 def _sha256_lines(lines):
@@ -113,6 +114,37 @@ def test_cover_bound_corpus_is_pinned(monkeypatch):
     acceptance.check_08_cover_bound()
     assert len(seen) == 500
     assert _sha256_lines(seen) == COVER_CORPUS_SHA256
+
+
+def test_cover_bound_corpus_stays_demanding(monkeypatch):
+    # the digest pins the corpus, this test what it must exercise: a corpus
+    # that one greedy pass always covers leaves the lowered-bound passes of
+    # cover_sequence untried
+    graphs, passes = [], []
+    greedy_pass, cover_sequence = coverlemma._greedy_pass, coverlemma.cover_sequence
+
+    class Recording(coverlemma.Bipartite):
+        def __init__(self, adjacency):
+            super().__init__(adjacency)
+            graphs.append(self)
+
+    def counting_pass(b_order, adjacency):
+        passes[-1] += 1
+        return greedy_pass(b_order, adjacency)
+
+    def counting_cover(graph):
+        passes.append(0)
+        return cover_sequence(graph)
+
+    monkeypatch.setattr(acceptance.coverlemma, "Bipartite", Recording)
+    monkeypatch.setattr(coverlemma, "_greedy_pass", counting_pass)
+    monkeypatch.setattr(coverlemma, "cover_sequence", counting_cover)
+    acceptance.check_08_cover_bound()
+    assert len(graphs) == len(passes) == 500
+    assert sum(count >= 2 for count in passes) >= 100
+    assert {graph.degree_bound for graph in graphs} == {1, 2, 3, 4, 5}
+    assert all(1 <= len(neighbours) <= 3
+               for graph in graphs for neighbours in graph.adjacency.values())
 
 
 def per_subset_acyclic(universe_max, max_size):

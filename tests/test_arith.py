@@ -266,6 +266,30 @@ def test_a_composite_ecm_meets_whole_falls_back_to_the_unbudgeted_walk(rho_calls
     assert [walked for walked in rho_calls if walked] == [[n], [n]]
 
 
+def test_rho_lanes_give_up_on_a_prime_after_the_whole_sweep():
+    # a prime is outside the precondition: no c splits it, so the sweep over
+    # c ends, and only a budgeted walk may leave it out of its result
+    with pytest.raises(ArithmeticError, match=r"^rho parameter sweep exhausted on 2053$"):
+        arith._rho_lanes([2053])
+    assert arith._rho_lanes([2053], arith._RHO_BUDGET) == {}
+
+
+def test_an_ecm_schedule_that_ends_unsplit_falls_back_to_the_unbudgeted_walk(monkeypatch):
+    # two curves at B1 = 250 split neither prime of 23 bits, and two are too
+    # few for _ECM_WHOLE_RUN: _ecm returns None at the schedule's end
+    n = 5161811 * 5162827
+    ladders = []
+    ladder = arith._ladder
+    monkeypatch.setattr(arith, "_ladder", lambda *a: ladders.append(a) or ladder(*a))
+    monkeypatch.setattr(arith, "_ECM_SCHEDULE", ((250, 2),))
+    assert arith._ecm(n) is None
+    stage1 = [a for a in ladders if a[0] == arith._ecm_tables(250)[0]]
+    assert len(stage1) == 2 < arith._ECM_WHOLE_RUN
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 0)
+    assert factorize(n).factors == ((5161811, 1), (5162827, 1))
+    assert factorize_batch([n])[n].factors == ((5161811, 1), (5162827, 1))
+
+
 def test_a_composite_shared_by_values_is_walked_once(rho_calls):
     m = 65537 * 65539
     factored = factorize_batch([3 * m, 5 * m, m])
