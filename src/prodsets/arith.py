@@ -35,7 +35,7 @@ class DeskScaleError(ValueError):
 # sqrt(p) steps where trial division takes pi(p); a limit of 2^12 or 2^13
 # behind the gcd stage of ``factorize`` measured no faster than 2^10
 TRIAL_DIVISION_LIMIT = 2**10
-# factorize_batch strips the primes up to this with remainder trees over the
+# factorize_batch strips the primes up to this with gcds over chunks of the
 # batch; the least composite with no prime factor up to it is 65537^2 > 2^32
 _MEDIUM_PRIME_LIMIT = 2**16
 PRIME_RANGE_LIMIT = 10**8     # _sieve allocates one byte per candidate
@@ -468,55 +468,37 @@ def factorize(n: int) -> Factorization:
                   lambda m: m < TRIAL_DIVISION_LIMIT**2 or is_prime(m))[n]
 
 
-def _product_tree(leaves: list[int]) -> list[list[int]]:
-    """The levels of the product tree over leaves: the leaves first, their
-    product last; node i of a level is the parent of nodes 2i and 2i+1."""
-    levels = [leaves]
-    while len(levels[-1]) > 1:
-        level = levels[-1]
-        levels.append([math.prod(level[i:i + 2]) for i in range(0, len(level), 2)])
-    return levels
-
-
-def _remainders(x: int, levels: list[list[int]]) -> list[int]:
-    """x modulo each leaf of a product tree, reduced from the root down."""
-    remainders = [x]
-    for level in reversed(levels):
-        remainders = [remainders[i >> 1] % m for i, m in enumerate(level)]
-    return remainders
-
-
 @functools.cache
 def _medium_primorial() -> int:
     """The product of the 6,370 primes in (TRIAL_DIVISION_LIMIT,
-    _MEDIUM_PRIME_LIMIT], 92,608 bits; built on first use, not at import."""
-    return _product_tree(_sieve(TRIAL_DIVISION_LIMIT + 1, _MEDIUM_PRIME_LIMIT))[-1][0]
+    _MEDIUM_PRIME_LIMIT], 92,608 bits; built on first use, not at import,
+    from products of 128 primes, which beats one running product."""
+    primes = _sieve(TRIAL_DIVISION_LIMIT + 1, _MEDIUM_PRIME_LIMIT)
+    return math.prod(math.prod(primes[i:i + 128]) for i in range(0, len(primes), 128))
 
 
 def factorize_batch(values: Iterable[int]) -> dict[int, Factorization]:
     """``factorize`` of each distinct value, with one shared stage between
     its trial division and its split rounds.
 
-    A remainder tree reduces the product of the primes in (2^10, 2^16]
-    modulo every cofactor c >= 2^20 left by trial division at once
-    (Bernstein, "How to find smooth parts of integers", 2004); the gcd h of
-    that remainder and c is the product of the primes in (2^10, 2^16] that
-    divide c.  The distinct h are split together by the same rounds, which
-    take a factor of h below 2^20 as one prime, two of them multiplying past
-    it, and test none; their primes are stripped from c with their
-    exponents.  What is left has no prime factor up to 2^16, so the rounds
-    take a factor of it below 2^32 < 65537^2 as prime without a test.
+    For each chunk of 128 cofactors c >= 2^20 left by trial division, the
+    gcd of the product of the primes in (2^10, 2^16] with the product of
+    the chunk keeps the primes that divide some c of it; the gcd of that
+    with c is h, the product of the primes in (2^10, 2^16] that divide c.
+    The distinct h are split together by the same rounds, which take a
+    factor of h below 2^20 as one prime, two of them multiplying past it,
+    and test none; their primes are stripped from c with their exponents.
+    What is left has no prime factor up to 2^16, so the rounds take a factor
+    of it below 2^32 < 65537^2 as prime without a test.
     """
     staged = {n: _trial_stage(n) for n in dict.fromkeys(values)}
     large = [n for n, (_, rest) in staged.items() if rest >= TRIAL_DIVISION_LIMIT**2]
     medium = {}   # n: the product of the primes in (2^10, 2^16] dividing its cofactor
-    # a tree costs about the same per leaf from 64 leaves to 2048, and above
-    # that multiplies products far larger than the primorial
-    for start in range(0, len(large), 1024):
-        chunk = large[start:start + 1024]
-        cofactors = [staged[n][1] for n in chunk]
-        remainders = _remainders(_medium_primorial(), _product_tree(cofactors))
-        medium.update((n, math.gcd(r, c)) for n, c, r in zip(chunk, cofactors, remainders))
+    # chunks of 64 to 256 cost about the same per cofactor; 32 and 1,024 cost more
+    for start in range(0, len(large), 128):
+        chunk = large[start:start + 128]
+        hit = math.gcd(_medium_primorial(), math.prod(staged[n][1] for n in chunk))
+        medium.update((n, math.gcd(hit, staged[n][1])) for n in chunk)
     primes = _split({h: ({}, h) for h in medium.values()},
                     lambda m: m < TRIAL_DIVISION_LIMIT**2)
     for n, h in medium.items():

@@ -8,8 +8,10 @@ Carmichael numbers, which fool the Fermat test for every coprime base.  The
 gcd trial stage is checked at its edges: values with no trial prime, only
 trial primes, every trial prime, and primes on both sides of 2^10.  The
 medium stage of factorize_batch is checked against sympy and against
-factorize of each value, at the primes on both sides of 2^10 and 2^16 and
-at the 2^32 bound below which it takes a factor as prime without a test.
+factorize of each value, at the primes on both sides of 2^10 and 2^16, at
+the 2^32 bound below which it takes a factor as prime without a test, and at
+the ends of its chunks of 128 cofactors; each cofactor's h is checked
+against the product of the medium primes found dividing it by brute force.
 The sieve behind primes_upto and primes_in_range is checked against sympy's
 primerange on ranges below 2, across 2^16 and narrow ones above 10^7, and
 ECM's tables against lcm(1..B1) and the primes in (B1, 50 B1].
@@ -25,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.ntheory.modular import crt
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
+from prodsets import arith
 from prodsets.arith import (
     TRIAL_DIVISION_LIMIT,
     _ECM_D,
@@ -175,7 +178,8 @@ def assert_batch_matches_oracles(values):
 
 M61 = 2**61 - 1
 # 1021 | 1031 and 65521 | 65537 are the primes on each side of 2^10 and 2^16;
-# h = gcd(remainder, cofactor) is composite for 1031 * 65521; 65537^2 is the
+# h, the product of the medium primes dividing a cofactor, is composite for
+# 1031 * 65521; 65537^2 is the
 # least composite with no prime up to 2^16, and rho splits 65537 * 65539
 BATCH_EDGES = [1, 1021, 1031, 65521, 65537, 65521**2, 1031 * 65521,
                1031**2 * 65521**3 * M61, 65537**2, 65537 * 65539, 2**20 * 65521,
@@ -198,8 +202,45 @@ def test_factorize_batch_of_every_edge_with_duplicates():
 
 
 def test_factorize_batch_of_a_window_longer_than_one_remainder_tree():
-    # 1,879 of these 2,000 terms leave a cofactor >= 2^20: two trees
+    # 1,879 of these 2,000 terms leave a cofactor >= 2^20: 15 chunks of 128
     assert_batch_matches_oracles([(10**6 + i)**2 + 1 for i in range(1, 2001)])
+
+
+# the first 257 primes above 2^31: cofactors >= 2^20 with no medium prime
+CHUNK_PRIMES = list(sympy.primerange(2**31, 2**31 + 8000))[:257]
+
+
+def chunk_edge_batch(size, plant):
+    """size values, one per prime of CHUNK_PRIMES, the first and last of each
+    chunk of 128 multiplied by plant."""
+    ends = {i for start in range(0, size, 128) for i in (start, min(start + 127, size - 1))}
+    return [q * plant if i in ends else q for i, q in enumerate(CHUNK_PRIMES[:size])]
+
+
+@pytest.mark.parametrize("plant", [1031, 65521, 65521**2, 1031 * 65521])
+@pytest.mark.parametrize("size", [127, 128, 129, 257])
+def test_factorize_batch_at_the_chunk_edges(size, plant):
+    assert_batch_matches_oracles(chunk_edge_batch(size, plant))
+
+
+def test_factorize_batch_h_is_the_product_of_the_medium_primes_of_each_cofactor(monkeypatch):
+    # each of 257 cofactors also carries a medium prime of its own, so a
+    # cofactor that its chunk skipped would take its h out of the set
+    medium = list(sympy.primerange(1025, 65537))
+    values = [n * medium[-1 - i] for i, n in enumerate(chunk_edge_batch(257, 1031 * 65521))]
+    values += [1021 * 1031, 3 * 65521, 2**20 * 65521]   # cofactors below 2^20
+    calls = []
+    split = arith._split
+    monkeypatch.setattr(arith, "_split",
+                        lambda staged, proven: calls.append(list(staged)) or split(staged, proven))
+    assert_batch_matches_oracles(values)
+    expected = set()
+    for n in values:
+        cofactor = math.prod(p**e for p, e in sympy.factorint(n).items() if p > TRIAL_DIVISION_LIMIT)
+        if cofactor >= TRIAL_DIVISION_LIMIT**2:
+            expected.add(math.prod(p for p in medium if cofactor % p == 0))
+    assert len(expected) == 257
+    assert set(calls[0]) == expected
 
 
 def test_factorize_batch_splits_cofactors_of_four_primes_in_rounds(rho_calls):
