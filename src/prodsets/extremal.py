@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 from .arith import DeskScaleError
 from .productset import BaseSet, sequence_members
-from .sequences import FIBONACCI, SequenceKind, lucas_u
+from .sequences import FIBONACCI, LucasSpec, lucas_u
 
 MAX_UNIVERSE = 40
 MAX_SET_SIZE = 6
@@ -138,7 +138,7 @@ class LucasBoundReport(NamedTuple):
     members: tuple[tuple[int, int], ...]  # (value, index), ascending by value
 
 
-def lucas_count_check(base: BaseSet, kind: SequenceKind) -> LucasBoundReport:
+def lucas_count_check(base: BaseSet, kind: LucasSpec) -> LucasBoundReport:
     found = sequence_members(base, kind)
     size = len(base)
     count = len(found)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
 
-from .sequences import SequenceKind, term_table
+from .sequences import LucasSpec, term_table
 
 Exact = Union[int, Fraction]
 
@@ -66,7 +66,7 @@ class SequenceMember(NamedTuple):
     pairs: tuple[tuple[Exact, Exact], ...]
 
 
-def sequence_members(base: BaseSet, kind: SequenceKind) -> list[SequenceMember]:
+def sequence_members(base: BaseSet, kind: LucasSpec) -> list[SequenceMember]:
     """The values of B.B that are terms of the kind, ascending, each with its
     smallest index and its factor pairs as ``build_product_set`` gives them.
 

@@ -104,7 +104,7 @@ def recurrence_terms(x0, x1, p, q, limit):
      recurrence_terms(2, 1, 1, -1, 81)),
     # U(3, 2) = 2^n - 1 over {1..40}
     (LucasSpec(3, 2), range(1, 41), recurrence_terms(0, 1, 3, 2, 1600)),
-])
+], ids=lambda value: "lucas" if value == LUCAS_V else None)
 def test_core_subsets_matches_brute_force_beyond_fibonacci(kind, universe, terms):
     base = BaseSet(universe)
     members = sequence_members(base, kind)
@@ -316,5 +316,5 @@ def test_lucas_count_check_rejects_an_unknown_kind_without_integer_products():
     # (1/3)(2/3) and the squares 1/9, 4/9 are not integers; the kind is
     # still checked, as it is for a set whose product set holds integers
     for base in (BaseSet([Fraction(1, 3), Fraction(2, 3)]), BaseSet([2])):
-        with pytest.raises(TypeError, match="unknown sequence kind"):
+        with pytest.raises(TypeError, match="spec must be a LucasSpec"):
             lucas_count_check(base, "bogus")

@@ -10,14 +10,23 @@ from prodsets.sequences import FIBONACCI, LUCAS_V, LucasSpec, term_index
 
 ORACLE = settings(max_examples=30, derandomize=True, deadline=None, database=None)
 
-# (1, -3) has a positive discriminant; (2, 3) and (1, 2) negative ones, whose
-# term table is a scan of the first 500 indices
-KINDS = [FIBONACCI, LUCAS_V, LucasSpec(2, 3), LucasSpec(1, -3), LucasSpec(1, 2)]
+# (1, -3) and (3, 2) have a positive discriminant; (2, 3) and (1, 2) negative
+# ones, whose term table is a scan of the first 500 indices
+KINDS = [FIBONACCI, LUCAS_V, LucasSpec(2, 3), LucasSpec(1, -3), LucasSpec(1, 2),
+         LucasSpec(2, 3, True), LucasSpec(1, -3, True), LucasSpec(3, 2, True)]
+
+
+def kind_id(kind):
+    """A kind's repr, its v field shown only when set; "lucas" for V(1, -1)."""
+    if kind == LUCAS_V:
+        return "lucas"
+    return f"LucasSpec(p={kind.p}, q={kind.q}{', v=True' if kind.v else ''})"
 
 
 def small_positive_terms(kind):
     """The terms in [1, 10^4] among the first 40 of the kind, by recurrence."""
-    p, q, x0, x1 = (1, -1, 2, 1) if kind == LUCAS_V else (kind.p, kind.q, 0, 1)
+    p, q = kind.p, kind.q
+    x0, x1 = (2, p) if kind.v else (0, 1)
     terms = set()
     for _ in range(40):
         if 1 <= x1 <= 10**4:
@@ -162,7 +171,7 @@ def test_sequence_members_skips_non_integers():
 
 
 @pytest.mark.parametrize("family", ["integer", "rational", "below-one"])
-@pytest.mark.parametrize("kind", KINDS, ids=str)
+@pytest.mark.parametrize("kind", KINDS, ids=kind_id)
 @ORACLE
 @given(data=st.data())
 def test_sequence_members_match_the_product_set_oracle(kind, family, data):
@@ -178,7 +187,7 @@ def test_sequence_members_match_the_product_set_oracle(kind, family, data):
     assert all(type(m.value) is int for m in found)
 
 
-@pytest.mark.parametrize("kind", KINDS, ids=str)
+@pytest.mark.parametrize("kind", KINDS, ids=kind_id)
 def test_sequence_members_rejects_empty(kind):
     with pytest.raises(ValueError):
         sequence_members(BaseSet([]), kind)

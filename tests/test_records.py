@@ -49,7 +49,7 @@ def test_record_is_immutable_and_compared_by_its_fields(name):
 
 def test_reprs_are_unchanged():
     assert repr(factorize(12)) == "Factorization(subject=12, factors=((2, 2), (3, 1)))"
-    assert repr(FIBONACCI) == "LucasSpec(p=1, q=-1)"
+    assert repr(FIBONACCI) == "LucasSpec(p=1, q=-1, v=False)"
     assert repr(PolynomialZ([1, 0, 1])) == "PolynomialZ([1, 0, 1])"
 
 

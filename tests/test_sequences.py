@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from prodsets import sequences
 from prodsets.productset import BaseSet, build_product_set, sequence_members
@@ -64,8 +65,9 @@ def test_lucas_spec_rejects_degenerate_pairs(p, q):
     for _ in range(10):
         terms.append(p * terms[-1] - q * terms[-2])
     assert 0 in terms
-    with pytest.raises(ValueError, match="degenerate"):
-        LucasSpec(p, q)
+    for v in (False, True):
+        with pytest.raises(ValueError, match="degenerate"):
+            LucasSpec(p, q, v)
 
 
 def test_lucas_u_examples():
@@ -94,6 +96,11 @@ def test_lucas_recurrences_hold(spec):
     for n in range(2, 200):
         assert u[n] == spec.p * u[n - 1] - spec.q * u[n - 2]
         assert v[n] == spec.p * v[n - 1] - spec.q * v[n - 2]
+    # lucas_u and lucas_v read the pair, whichever sequence the spec names;
+    # for (1, -1) the V spec is LUCAS_V
+    v_spec = spec._replace(v=True)
+    assert [lucas_u(v_spec, n) for n in range(1, 201)] == u
+    assert [lucas_v(v_spec, n) for n in range(1, 201)] == v
 
 
 def test_mersenne_pair_closed_form():
@@ -186,15 +193,32 @@ def test_primitive_divisor_rejects_zero_terms():
         primitive_divisor(FIBONACCI, 1)
 
 
+@pytest.mark.parametrize("spec, n, expected", [
+    (LUCAS_V, 40, {6}),                   # V_6 = 18 = 2 * 3^2, with V_3 = 4, V_2 = 3
+    (LucasSpec(3, 2, True), 30, {3}),     # V_n = 2^n + 1: V_3 = 9, with V_1 = 3
+    (LucasSpec(2, -1, True), 30, set()),
+])
+def test_primitive_divisor_of_v_kinds_against_sympy(spec, n, expected):
+    terms = [lucas_v(spec, k) for k in range(1, n + 1)]
+    missing = set()
+    for k in range(2, n + 1):
+        primitive = [p for p in sympy.primefactors(terms[k - 1])
+                     if all(t % p != 0 for t in terms[:k - 1])]
+        assert primitive_divisor(spec, k) == min(primitive, default=None), (spec, k)
+        if not primitive:
+            missing.add(k)
+    assert missing == expected
+
+
 def refuse_terms(*args):
     raise AssertionError("a term was computed")
 
 
-# LUCAS_V is a term-table marker, not a pair: taken as a pair it would make
-# lucas_u and primitive_divisor read V(1, -1) terms as U terms
+# only a LucasSpec names a sequence; "lucas", the string that once stood for
+# V(1, -1), is refused like any other value
 @pytest.mark.parametrize("function, n", [(lucas_u, 3), (lucas_v, 3), (primitive_divisor, 5),
                                          (primitive_divisor, 1)])
-@pytest.mark.parametrize("spec", [LUCAS_V, (1, -1), None])
+@pytest.mark.parametrize("spec", ["lucas", (1, -1), None])
 def test_lucas_functions_take_a_lucas_spec_only(function, n, spec, monkeypatch):
     monkeypatch.setattr(sequences, "_recurrence", refuse_terms)
     with pytest.raises(TypeError, match=re.escape(f"spec must be a LucasSpec, got {spec!r}")):
@@ -214,6 +238,7 @@ def test_term_index_markers_and_specs():
     assert term_index(LUCAS_V, 7) == 4
     assert term_index(LucasSpec(3, 2), 31) == 5
     assert term_index(LucasSpec(3, 2), 30) is None
+    assert term_index(LucasSpec(3, 2, True), 33) == 5    # V_n(3, 2) = 2^n + 1
     assert term_index(FIBONACCI, 0) is None
     assert term_index(FIBONACCI, 8) == 6
     assert term_index(FIBONACCI, 9) is None
@@ -221,8 +246,9 @@ def test_term_index_markers_and_specs():
         term_index("nonsense", 3)
 
 
-@pytest.mark.parametrize("kind", [FIBONACCI, LUCAS_V, LucasSpec(3, 2), LucasSpec(2, 3),
-                                  LucasSpec(1, -3), LucasSpec(1, 0), LucasSpec(-1, 0)])
+@pytest.mark.parametrize("kind", [FIBONACCI, pytest.param(LUCAS_V, id="lucas"), LucasSpec(3, 2),
+                                  LucasSpec(2, 3), LucasSpec(1, -3), LucasSpec(1, 0),
+                                  LucasSpec(-1, 0), LucasSpec(2, 3, True), LucasSpec(1, 0, True)])
 @pytest.mark.parametrize("value", [0, -1, -144])
 def test_term_index_of_a_value_below_one_is_none(kind, value):
     assert term_index(kind, value) is None
@@ -247,37 +273,47 @@ def test_term_index_is_exact_past_index_500():
 
 @pytest.mark.parametrize("p", [1, -1])
 def test_q_zero_pairs_terminate(p):
-    # U_n(+-1, 0) = (+-1)^(n-1): |U_n| never passes any limit
+    # U_n(+-1, 0) = (+-1)^(n-1) and V_n(+-1, 0) = (+-1)^n: |X_n| never passes
+    # any limit
     spec = LucasSpec(p, 0)
     assert term_table(spec, 10**30) == {1: 1}
     assert term_table(spec, 0) == {}
     assert term_index(spec, 1) == 1
     assert term_index(spec, 2) is None
+    v_spec = LucasSpec(p, 0, True)
+    assert term_table(v_spec, 10**30) == ({1: 1} if p == 1 else {1: 2})
+    assert term_table(v_spec, 0) == {}
+    assert term_index(v_spec, 2) is None
 
 
 def valid_pairs(bound):
+    """U and V of every valid pair with |P|, |Q| <= bound."""
     for p in range(-bound, bound + 1):
         for q in range(-bound, bound + 1):
             try:
-                yield LucasSpec(p, q)
+                spec = LucasSpec(p, q)
             except ValueError:
                 continue
+            yield spec
+            yield spec._replace(v=True)
 
 
 def test_abs_lucas_u_is_nondecreasing_for_positive_discriminant():
-    # the stop rule of term_table: the first |U_n| > limit ends the scan
+    # the stop rule of term_table: the first |X_n| > limit ends the scan, for
+    # U and V alike; a, b run from X_0, X_1
     for spec in valid_pairs(10):
         if spec.discriminant < 0 or spec.q == 0:
             continue
-        a, b = 0, 1
+        a, b = (2, spec.p) if spec.v else (0, 1)
         for n in range(1, 200):
             a, b = b, spec.p * b - spec.q * a
             assert abs(b) >= abs(a) >= 1, (spec, n)
 
 
 def brute_force_indices(spec, count=500):
-    """Smallest index of each positive term among U_1..U_count."""
-    out, u = {}, [1, spec.p]
+    """Smallest index of each positive term among X_1..X_count of the spec's
+    own sequence."""
+    out, u = {}, [spec.p, spec.p * spec.p - 2 * spec.q] if spec.v else [1, spec.p]
     while len(u) < count:
         u.append(spec.p * u[-1] - spec.q * u[-2])
     for n, term in enumerate(u, start=1):
@@ -287,9 +323,9 @@ def brute_force_indices(spec, count=500):
 
 
 def test_sequence_members_match_brute_force_for_small_pairs():
-    # every valid pair with |P|, |Q| <= 6, negative discriminants included;
-    # values stay below 10^7, far inside 500 indices for every pair with
-    # |U_n| unbounded
+    # U and V of every valid pair with |P|, |Q| <= 6, negative discriminants
+    # included; values stay below 10^10, far inside 500 indices for every
+    # pair of positive discriminant
     rng = random.Random(20150)
     for spec in valid_pairs(6):
         oracle = brute_force_indices(spec)
