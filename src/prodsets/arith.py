@@ -9,12 +9,12 @@ prime once: trial division proves those below 2^20, Miller-Rabin
 (``is_prime``) larger ones below psi_13 ~ 3.3e24, and above it Baillie-PSW,
 a probable-prime test, passes them; ``factorize_batch`` also proves those
 below 2^32 without a test.  One split loop serves both: Pollard rho splits
-the composites of a round in lanes of up to 16 walked modulo their product,
-and each lane gets the factor its own walk gives.
-The walk stops at a step budget; each composite it leaves open goes to
-Lenstra's elliptic curve method on Montgomery curves (Montgomery 1987,
-Math. Comp. 48), and one that ECM's fixed schedule does not split goes back
-to rho with no budget.  That cut the 100-term window of x^2+1 at
+the composites of a round in lanes of up to 4 walked modulo their product,
+and each lane gets the factor its own walk gives.  The walk stops at a step
+budget; the composites it leaves open go to Lenstra's elliptic curve method
+on Montgomery curves (Montgomery 1987, Math. Comp. 48), whose curves run in
+lanes the same way, and one that ECM's fixed schedule does not split goes
+back to rho with no budget.  That cut the 100-term window of x^2+1 at
 r = 2^47 + 12345 (95-bit terms) from 8.8 s to 1.2 s.
 """
 
@@ -39,23 +39,28 @@ TRIAL_DIVISION_LIMIT = 2**10
 # batch; the least composite with no prime factor up to it is 65537^2 > 2^32
 _MEDIUM_PRIME_LIMIT = 2**16
 PRIME_RANGE_LIMIT = 10**8     # _sieve allocates one byte per candidate
-# rho walks at most this many composites at once: a reduction grows with the
-# square of their product, and one walk over a whole window was 4-5x slower
-_RHO_LANES = 16
-# _split walks rho only while Brent's r is at most this, about 16k steps, and
+# rho and ECM walk at most this many composites at once, modulo their
+# product: a lane shares the interpreter's work of a step, but a reduction
+# grows with the square of the product.  One rho step on 64-bit lanes took
+# 317 ns per lane at 1 lane, 184 at 4, 193 at 6, 232 at 8 and 339 at 16; ECM
+# stage 1 at B1 = 250, 0.77 ms per lane at 1 lane, 0.44 at 4 and 0.82 at 16
+# (best of 5, Python 3.11, 2-CPU shared host)
+_LANES = 4
+# _split walks rho only while Brent's r is at most this, about 4k steps, and
 # hands the lanes still open to ECM.  Per semiprime, one-lane rho and ECM took
 # 2.1 and 2.0 ms at a 24-bit least prime, 12.9 and 3.8 ms at 28 bits, 42 and
-# 5.6 ms at 32 (Python 3.11, 2-CPU shared host).  Budgets of 2^10-2^12 timed
-# the benchmark's window cycles within the host's drift, 2^13 slower; a
-# smaller one sends ECM composites of smaller primes, whose curves meet every
-# prime at once more often (every curve does on 2017 * 2417)
-_RHO_BUDGET = 2**12
-# _ecm's curves: (B1, count) with B2 = 50 * B1 and Suyama's sigma = 6, 7, ...
+# 5.6 ms at 32.  At 4 lanes, replays of the window cycles' split rounds timed
+# 2^9 and 2^10 alike and 2^11 15% slower; a smaller budget sends ECM
+# composites of smaller primes, whose curves meet every prime at once more
+# often (every curve does on 2017 * 2417)
+_RHO_BUDGET = 2**10
+# ECM's curves: (B1, count) with B2 = 50 * B1 and Suyama's sigma = 6, 7, ...
 # over the whole schedule.  On the 264 composites of the benchmark's window
 # cycles (seeds 101-105) that the budget leaves, least primes of 21-33 bits,
-# it took 0.9 s where the lanes took 3.4 s, and it split every one
+# one-lane ECM took 0.9 s where rho with no budget took 3.4 s, and it split
+# every one
 _ECM_SCHEDULE = ((250, 40), (500, 60), (1000, 200))
-_ECM_WHOLE_RUN = 8   # _ecm gives n up after this many curves in a row meet it whole
+_ECM_WHOLE_RUN = 8   # ECM gives n up after this many curves in a row meet it whole
 _ECM_D = 210   # stage 2's giant step: baby steps j < 105 prime to it pair every prime
 
 
@@ -227,17 +232,18 @@ class Factorization(namedtuple("Factorization", "subject factors")):
 def _rho_lanes(composites: list[int], budget: float = math.inf) -> dict[int, int]:
     """A nontrivial factor of each of some distinct odd composites with no
     small prime factor, by Brent's variant of Pollard rho with q reduced once
-    per two comparison steps (the same residue at every gcd).  Up to
-    _RHO_LANES composites are walked as lanes modulo their product, so a step
-    pays the interpreter once for all of them.  A lane's residues are those of
-    its own walk: it leaves at the gcd where that walk stops, with the factor
-    that walk gives.  The parameter c is swept deterministically, so
-    concurrent and repeated calls agree.  Under a finite ``budget`` a walk
-    stops once Brent's r passes it, its group's sweep with it, and the
-    composites it leaves unsplit are missing from the result."""
+    per two comparison steps (the same residue at every gcd).  Up to _LANES
+    composites are walked as lanes modulo their product: a step pays the
+    interpreter once for all of them, and one reduction modulo the larger
+    product.  A lane's residues are those of its own walk: it leaves at the
+    gcd where that walk stops, with the factor that walk gives.  The
+    parameter c is swept deterministically, so concurrent and repeated calls
+    agree.  Under a finite ``budget`` a walk stops once Brent's r passes it,
+    its group's sweep with it, and the composites it leaves unsplit are
+    missing from the result."""
     factors = {}
-    for start in range(0, len(composites), _RHO_LANES):
-        group = composites[start:start + _RHO_LANES]
+    for start in range(0, len(composites), _LANES):
+        group = composites[start:start + _LANES]
         for c in range(1, 100):
             lanes = [n for n in group if n not in factors]
             if not lanes:
@@ -312,56 +318,77 @@ def _ecm_tables(b1: int) -> tuple[int, int, list[list[int]]]:
     return math.lcm(*range(1, b1 + 1)), m0, stage2
 
 
-def _ecm_stage2(x: int, z: int, a24: int, n: int, m0: int, stage2: list[list[int]]) -> int:
-    """ECM's stage 2 from the stage-1 point Q = (x : z): baby steps jQ for
-    odd j < _ECM_D / 2 and giant steps m * _ECM_D * Q from m = m0 on, one
-    product x_m z_j - x_j z_m per pair that covers a prime; the gcd of n and
-    the product, taken once per giant step, at the first that exceeds 1."""
-    _, _, x2, z2 = _ladder(1, x, z, a24, n)
-    baby, back, point = {}, (x, z), (x, z)
-    for j in range(1, _ECM_D // 2, 2):   # jQ + 2Q = (j + 2)Q, difference (j - 2)Q
-        baby[j] = point
-        u, v = (point[0] - point[1]) * (x2 + z2), (point[0] + point[1]) * (x2 - z2)
-        back, point = point, (back[1] * (u + v) ** 2 % n, back[0] * (u - v) ** 2 % n)
-    xd, zd, _, _ = _ladder(_ECM_D, x, z, a24, n)
-    xm, zm, xn, zn = _ladder(m0, xd, zd, a24, n)
-    product = 1
-    for js in stage2:
-        for j in js:
-            product = product * (xm * baby[j][1] - baby[j][0] * zm) % n
-        g = math.gcd(product, n)
-        if g > 1:
-            return g
-        u, v = (xn - zn) * (xd + zd), (xn + zn) * (xd - zd)
-        xm, zm, xn, zn = xn, zn, zm * (u + v) ** 2 % n, xm * (u - v) ** 2 % n
-    return 1
+def _leave(residue: int, lanes: list[int], met: dict[int, int]) -> int:
+    """Moves each lane n with gcd(residue, n) > 1 from ``lanes`` to ``met``,
+    with that gcd, and returns the product of the lanes left."""
+    for n in [n for n in lanes if math.gcd(residue, n) > 1]:
+        met[n] = math.gcd(residue, n)
+        lanes.remove(n)
+    return math.prod(lanes)
 
 
-def _ecm(n: int) -> int | None:
-    """A nontrivial factor of n, an odd composite with no small prime factor
-    and no perfect power, by Lenstra's elliptic curve method on Montgomery
-    curves with Suyama's parametrisation (Montgomery 1987, Math. Comp. 48):
-    stage 1 multiplies a point by ``_ecm_tables``' multiplier with the x-only
-    ladder, and ``_ecm_stage2`` follows.  The curves run in the order of
-    ``_ECM_SCHEDULE``, so repeated calls agree; a curve that meets every
-    prime of n at once (g = n) gives way to the next.  None when the schedule
-    ends unsplit or ``_ECM_WHOLE_RUN`` curves in a row meet n whole."""
-    sigmas, whole = itertools.count(6), 0
+def _ecm_lanes(composites: list[int]) -> dict[int, int]:
+    """A nontrivial factor of each of some distinct odd composites with no
+    small prime factor and no perfect power, by Lenstra's elliptic curve
+    method on Montgomery curves with Suyama's parametrisation (Montgomery
+    1987, Math. Comp. 48).  Each curve of ``_ECM_SCHEDULE`` runs, in order, on
+    the composites still open, in lanes of up to _LANES modulo their product.
+    Stage 1 multiplies a point by ``_ecm_tables``' multiplier with the x-only
+    ladder; stage 2 takes baby steps jQ for odd j < _ECM_D / 2 and giant
+    steps m * _ECM_D * Q from m = m0 on, one product x_m z_j - x_j z_m per
+    pair that covers a prime, and a gcd per giant step.  A lane leaves the
+    curve at its first gcd above 1, as its own run would, so a lane's factor
+    is its one-lane factor; a curve that meets every prime of n at once
+    (g = n) gives way to the next.  A composite is missing from the result
+    when the schedule ends unsplit or ``_ECM_WHOLE_RUN`` curves in a row meet
+    it whole.  Tables are built only for a curve that some lane runs."""
+    factors, whole = {}, dict.fromkeys(composites, 0)   # open n: curves in a row that met n whole
+    sigmas = itertools.count(6)
     for b1, curves in _ECM_SCHEDULE:
-        multiplier, m0, stage2 = _ecm_tables(b1)
         for sigma in itertools.islice(sigmas, curves):
+            if not whole:
+                return factors
+            multiplier, m0, stage2 = _ecm_tables(b1)
             u, v = sigma * sigma - 5, 4 * sigma
-            g = math.gcd(16 * u**3 * v, n)
-            if g == 1:
-                a24 = (v - u) ** 3 * (3 * u + v) * pow(16 * u**3 * v, -1, n) % n
-                x, z, _, _ = _ladder(multiplier, u**3 % n, v**3 % n, a24, n)
-                g = math.gcd(z, n)
-                if g == 1:
-                    g = _ecm_stage2(x, z, a24, n, m0, stage2)
-            whole = whole + 1 if g == n else 0
-            if 1 < g < n or whole == _ECM_WHOLE_RUN:
-                return g if g < n else None
-    return None
+            met = dict.fromkeys(whole, 1)   # n: the gcd above 1 at which n left the curve
+            opened = list(whole)
+            for start in range(0, len(opened), _LANES):
+                lanes = opened[start:start + _LANES]
+                n_all = _leave(16 * u**3 * v, lanes, met)
+                a24 = (v - u) ** 3 * (3 * u + v) * pow(16 * u**3 * v, -1, n_all) % n_all
+                x, z, _, _ = _ladder(multiplier, u**3 % n_all, v**3 % n_all, a24, n_all)
+                n_all = _leave(z, lanes, met)
+                if not lanes:
+                    continue
+                x, z, a24 = x % n_all, z % n_all, a24 % n_all
+                _, _, x2, z2 = _ladder(1, x, z, a24, n_all)
+                baby, back, point = {}, (x, z), (x, z)
+                for j in range(1, _ECM_D // 2, 2):   # jQ + 2Q = (j + 2)Q, difference (j - 2)Q
+                    baby[j] = point
+                    s, d = (point[0] - point[1]) * (x2 + z2), (point[0] + point[1]) * (x2 - z2)
+                    back, point = point, (back[1] * (s + d) ** 2 % n_all,
+                                          back[0] * (s - d) ** 2 % n_all)
+                xd, zd, _, _ = _ladder(_ECM_D, x, z, a24, n_all)
+                xm, zm, xn, zn = _ladder(m0, xd, zd, a24, n_all)
+                product = 1
+                for js in stage2:
+                    for j in js:
+                        product = product * (xm * baby[j][1] - baby[j][0] * zm) % n_all
+                    if math.gcd(product, n_all) > 1:
+                        n_all = _leave(product, lanes, met)
+                        if not lanes:
+                            break
+                        xm, zm, xn, zn, xd, zd = (t % n_all for t in (xm, zm, xn, zn, xd, zd))
+                        baby = {j: (bx % n_all, bz % n_all) for j, (bx, bz) in baby.items()}
+                    s, d = (xn - zn) * (xd + zd), (xn + zn) * (xd - zd)
+                    xm, zm, xn, zn = xn, zn, zm * (s + d) ** 2 % n_all, xm * (s - d) ** 2 % n_all
+            for n, g in met.items():
+                whole[n] = whole[n] + 1 if g == n else 0
+                if 1 < g < n:
+                    factors[n] = g
+                if 1 < g < n or whole[n] == _ECM_WHOLE_RUN:
+                    del whole[n]
+    return factors
 
 
 def _iroot(n: int, k: int) -> int:
@@ -422,8 +449,8 @@ def _split(staged: dict[int, tuple[dict[int, int], int]],
     powers stripped so far and the rest m, a product of primes.  A piece of m
     is prime when ``proven`` says so, asked once per distinct piece of each
     n; a composite is split by an exact-root test or, with every composite
-    of the round, by ``_rho_lanes`` under ``_RHO_BUDGET``, then by ``_ecm``,
-    then by ``_rho_lanes`` with no budget."""
+    of the round, by ``_rho_lanes`` under ``_RHO_BUDGET``, then by
+    ``_ecm_lanes``, then by ``_rho_lanes`` with no budget."""
     pending = {n: {m: 1} for n, (_, m) in staged.items() if m > 1}   # factor: multiplicity
     while pending:
         walks = []   # (n, composite, multiplicity)
@@ -441,9 +468,7 @@ def _split(staged: dict[int, tuple[dict[int, int], int]],
                     found[m] = found.get(m, 0) + e
         composites = list(dict.fromkeys(m for _, m, _ in walks))
         factors = _rho_lanes(composites, _RHO_BUDGET)
-        for m in composites:
-            if m not in factors and (f := _ecm(m)):
-                factors[m] = f
+        factors.update(_ecm_lanes([m for m in composites if m not in factors]))
         factors.update(_rho_lanes([m for m in composites if m not in factors]))
         pending = {}
         for n, m, e in walks:

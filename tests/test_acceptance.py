@@ -21,11 +21,14 @@ def test_acceptance(name, check):
 
 def test_selftest_never_builds_the_medium_primorial(capsys):
     # the README's promise: selftest's window terms stay below 2^20, so the
-    # product of the primes in (2^10, 2^16] is never built
+    # product of the primes in (2^10, 2^16] is never built; and no composite
+    # of selftest reaches ECM, so neither are ECM's tables
     arith._medium_primorial.cache_clear()
+    arith._ecm_tables.cache_clear()
     assert acceptance.run_all()
     capsys.readouterr()
     assert arith._medium_primorial.cache_info().currsize == 0
+    assert arith._ecm_tables.cache_info().currsize == 0
 
 
 

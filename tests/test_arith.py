@@ -191,7 +191,7 @@ def test_pollard_rho_returns_the_recorded_factors():
 
 def test_rho_lanes_give_each_lane_its_one_lane_factor():
     corpus = rho_corpus()
-    assert len(set(corpus)) == len(corpus) == 300   # 19 walks of up to 16 lanes
+    assert len(set(corpus)) == len(corpus) == 300   # 75 walks of up to 4 lanes
     factors = arith._rho_lanes(corpus)
     pairs = [(n, factors[n]) for n in corpus]
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == RHO_CORPUS_DIGEST
@@ -224,44 +224,62 @@ def ecm_corpus(count=20, seed=20261020):
     return corpus
 
 
-def test_ecm_splits_its_corpus_and_agrees_with_itself(monkeypatch):
+# sha256 of repr([(n, f) for n in the products of ecm_corpus()]), f the factor
+# the one-lane _ecm(n) gave, recorded before ECM ran its curves in lanes
+ECM_CORPUS_DIGEST = "0538bc12ab4dc9b34d3fd56ba994f9c1901edfab619aa6b9bb6b883afbf1ab30"
+
+
+def test_ecm_lanes_give_each_composite_its_one_lane_factor(monkeypatch):
+    # 2017 * 2417 leaves after _ECM_WHOLE_RUN curves that meet it whole, and
+    # 5161811 * 5162827 outlasts a schedule of two curves
+    corpus = [math.prod(primes) for primes in ecm_corpus()]
+    whole, unsplit = 2017 * 2417, 5161811 * 5162827
+    mixed = corpus[:7] + [whole] + corpus[7:13] + [unsplit] + corpus[13:]
+    factors = arith._ecm_lanes(mixed)
+    pairs = [(n, factors.get(n)) for n in corpus]
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == ECM_CORPUS_DIGEST
+    assert whole not in factors and factors[unsplit] == 5162827
+    monkeypatch.setattr(arith, "_ECM_SCHEDULE", ((250, 2),))
+    one_lane = {n: arith._ecm_lanes([n]) for n in mixed}
+    assert arith._ecm_lanes(mixed) == {n: f[n] for n, f in one_lane.items() if f}
+    assert not one_lane[whole] and not one_lane[unsplit]
+
+
+def test_ecm_splits_its_corpus_and_agrees_with_itself(ecm_calls):
     # the drawn primes are the oracle: sympy.factorint takes 11 s on these
     expected = {math.prod(primes): dict(collections.Counter(primes)) for primes in ecm_corpus()}
     assert all(sympy.isprime(p) for factors in expected.values() for p in factors)
-    split = {}   # every composite of the batch that reaches ECM: its factor
-    ecm = arith._ecm
-    monkeypatch.setattr(arith, "_ecm", lambda n: split.setdefault(n, ecm(n)))
     factored = factorize_batch(expected)
+    # every composite of the batch that reaches ECM: its factor
+    split = {n: factors.get(n) for composites, factors in ecm_calls for n in composites}
     assert {n: dict(f.factors) for n, f in factored.items()} == expected
     assert len(set(expected) & set(split)) >= 15, sorted(split)
     assert all(f is not None and 1 < f < n and n % f == 0 for n, f in split.items())
     again = sorted(split)[::4]
-    assert [ecm(n) for n in again] == [split[n] for n in again]
+    assert [arith._ecm_lanes([n]).get(n) for n in again] == [split[n] for n in again]
 
 
-def test_ecm_takes_the_lanes_the_rho_budget_leaves_open(rho_calls, monkeypatch):
-    # rho needs about 2^16 steps for a 32-bit prime, four times its budget
+def test_ecm_takes_the_lanes_the_rho_budget_leaves_open(rho_calls, ecm_calls):
+    # rho needs about 2^16 steps for a 32-bit prime, sixteen times its budget
     n = 4294967291 * 4294967311
-    ecm_calls = []
-    ecm = arith._ecm
-    monkeypatch.setattr(arith, "_ecm", lambda m: ecm_calls.append(m) or ecm(m))
     assert factorize(n).factors == ((4294967291, 1), (4294967311, 1))
-    assert [walked for walked in rho_calls if walked] == [[n]] and ecm_calls == [n]
+    assert [walked for walked in rho_calls if walked] == [[n]]
+    assert [composites for composites, _ in ecm_calls if composites] == [[n]]
     assert arith._rho_lanes([n], arith._RHO_BUDGET) == {}
 
 
-def test_a_composite_ecm_meets_whole_falls_back_to_the_unbudgeted_walk(rho_calls, monkeypatch):
+def test_a_composite_ecm_meets_whole_falls_back_to_the_unbudgeted_walk(rho_calls, ecm_calls,
+                                                                      monkeypatch):
     # every curve meets 2017 and 2417 at once (g = n), and ECM gives the
     # composite up after _ECM_WHOLE_RUN of them, not after the whole schedule;
     # with no rho budget it reaches ECM, then the walk with no budget
     n = 2017 * 2417
-    found, ladders = [], []
-    ecm, ladder = arith._ecm, arith._ladder
-    monkeypatch.setattr(arith, "_ecm", lambda m: found.append(ecm(m)) or found[-1])
+    ladders = []
+    ladder = arith._ladder
     monkeypatch.setattr(arith, "_ladder", lambda *a: ladders.append(a) or ladder(*a))
     monkeypatch.setattr(arith, "_RHO_BUDGET", 0)
     assert factorize(n).factors == ((2017, 1), (2417, 1))
-    assert found == [None]
+    assert [factors.get(m) for composites, factors in ecm_calls for m in composites] == [None]
     assert 0 < len(ladders) <= arith._ECM_WHOLE_RUN == 8
     assert [walked for walked in rho_calls if walked] == [[n], [n]]
 
@@ -276,13 +294,13 @@ def test_rho_lanes_give_up_on_a_prime_after_the_whole_sweep():
 
 def test_an_ecm_schedule_that_ends_unsplit_falls_back_to_the_unbudgeted_walk(monkeypatch):
     # two curves at B1 = 250 split neither prime of 23 bits, and two are too
-    # few for _ECM_WHOLE_RUN: _ecm returns None at the schedule's end
+    # few for _ECM_WHOLE_RUN: _ecm_lanes leaves it out at the schedule's end
     n = 5161811 * 5162827
     ladders = []
     ladder = arith._ladder
     monkeypatch.setattr(arith, "_ladder", lambda *a: ladders.append(a) or ladder(*a))
     monkeypatch.setattr(arith, "_ECM_SCHEDULE", ((250, 2),))
-    assert arith._ecm(n) is None
+    assert arith._ecm_lanes([n]).get(n) is None
     stage1 = [a for a in ladders if a[0] == arith._ecm_tables(250)[0]]
     assert len(stage1) == 2 < arith._ECM_WHOLE_RUN
     monkeypatch.setattr(arith, "_RHO_BUDGET", 0)

@@ -245,7 +245,7 @@ def test_factorize_batch_h_is_the_product_of_the_medium_primes_of_each_cofactor(
 
 def test_factorize_batch_splits_cofactors_of_four_primes_in_rounds(rho_calls):
     # 24 values whose cofactors have 3 or 4 primes in (2^16, 2^17], up to 68
-    # bits: a round walks at most 16 lanes together and splits each in two,
+    # bits: a round walks its lanes 4 at a time and splits each in two,
     # so a 4-prime cofactor split 1 + 3 takes three rounds
     rng = random.Random(17)
     primes = list(sympy.primerange(2**16 + 1, 2**17 + 1))
