@@ -6,11 +6,14 @@ trial-division primes and their product, built at import, the product of
 the primes in (2^10, 2^16], built on the first ``factorize_batch`` call that
 needs it, and ECM's, built on its first use.  ``factorize`` tests each
 prime once: trial division proves those below 2^20, Miller-Rabin
-(``is_prime``) larger ones below psi_13 ~ 3.3e24, and above it Baillie-PSW,
-a probable-prime test, passes them; ``factorize_batch`` also proves those
-below 2^32 without a test.  One split loop serves both: Pollard rho splits
-the composites of a round in lanes of up to 4 walked modulo their product,
-and each lane gets the factor its own walk gives.  The walk stops at a step
+(``is_prime``) larger ones below psi_13 ~ 3.3e24, with the fewest bases
+proven for their size (Jaeschke 1993, Math. Comp. 61; the sets of sympy's
+``isprime`` up to 2^64; OEIS A014233 and Sorenson and Webster 2017, Math.
+Comp. 86, above it), and above psi_13 Baillie-PSW, a probable-prime test,
+passes them; ``factorize_batch`` also proves those below 2^32 without a
+test.  One split loop serves both: Pollard rho splits the composites of a
+round in lanes of up to 4 walked modulo their product, and each lane gets
+the factor its own walk gives.  The walk stops at a step
 budget; the composites it leaves open go to Lenstra's elliptic curve method
 on Montgomery curves (Montgomery 1987, Math. Comp. 48), whose curves run in
 lanes the same way, and one that ECM's fixed schedule does not split goes
@@ -94,22 +97,36 @@ _PRIMORIAL = math.prod(_TRIAL_PRIMES)   # gcd(n, _PRIMORIAL): the trial primes d
 
 _SMALL_PRIMES = _TRIAL_PRIMES[:13]   # 2..41
 _SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)   # 2 * 3 * ... * 41
-# (psi_k, k): below psi_k the first k primes are a proven deterministic
-# Miller-Rabin witness set, psi_k being the least odd composite that is a
-# strong pseudoprime to all of them (OEIS A014233; Jaeschke 1993,
-# Sorenson-Webster 2015).  psi_8 = psi_7 and psi_11 = psi_10 = psi_9, so 8,
-# 10 and 11 bases prove nothing more than 7 and 9.
-_MR_BASE_COUNTS = ((2_047, 1), (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
-                   (2_152_302_898_747, 5), (3_474_749_660_383, 6),
-                   (341_550_071_728_321, 7), (3_825_123_056_546_413_051, 9),
-                   (318_665_857_834_031_151_167_461, 12),
-                   (3_317_044_064_679_887_385_961_981, 13))
+# (bound, bases): below the bound the bases are a proven deterministic
+# Miller-Rabin witness set, each base taken mod n.  {2, 7, 61}: Jaeschke 1993
+# (Math. Comp. 61).  The 3- to 7-base sets up to 2^64: those of
+# sympy.ntheory.primetest.isprime (sympy 1.14).  Then the first 12 and 13
+# primes below psi_12 and psi_13, the least odd composites that are strong
+# pseudoprimes to all of them (OEIS A014233; Sorenson and Webster 2017,
+# Math. Comp. 86).
+_MR_BASE_SETS = (
+    (4_759_123_141, (2, 7, 61)),
+    (350_269_456_337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
+    (55_245_642_489_451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
+    (7_999_252_175_582_851, (2, 4130806001517, 149795463772692060, 186635894390467037,
+                             3967304179347715805)),
+    (585_226_005_592_931_977, (2, 123635709730000, 9233062284813009, 43835965440333360,
+                               761179012939631437, 1263739024124850375)),
+    (2**64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (318_665_857_834_031_151_167_461, _SMALL_PRIMES[:12]),
+    (3_317_044_064_679_887_385_961_981, _SMALL_PRIMES))
 # Proven bound of all 13 bases 2..41; from it on a strong Lucas round is added.
-_MR_PROVEN_BOUND = _MR_BASE_COUNTS[-1][0]
+_MR_PROVEN_BOUND = _MR_BASE_SETS[-1][0]
 
 
 def _miller_rabin(n: int, base: int) -> bool:
-    # n odd, n > base; True means "no compositeness witness for this base"
+    # n odd, n > 2; True means "no compositeness witness for this base".  The
+    # base is taken mod n and a residue of 0 witnesses nothing, the
+    # convention under which the large bases of _MR_BASE_SETS are proven
+    # (sympy.ntheory.primetest.mr)
+    base %= n
+    if base == 0:
+        return True
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -172,18 +189,21 @@ def _strong_lucas_prp(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Deterministic primality test.
 
-    Miller-Rabin with the first k prime bases, k the least count proven for
-    the size of n: 12 bases (2..37) below ~3.2e23, 13 bases (2..41) below
-    ~3.3e24.  From 3.3e24 on all 13 bases run and a strong Lucas round is
-    added (the Baillie-PSW combination), which has no known counterexample
-    but is proven only below 2^64.
+    Below 2^64, Miller-Rabin with the fewest bases proven for the size of n:
+    {2, 7, 61} below 4,759,123,141 (Jaeschke 1993, Math. Comp. 61), then the
+    3- to 7-base sets of sympy's ``isprime`` (sympy 1.14).  Above it the
+    first 12 prime bases (2..37) below psi_12 ~ 3.2e23 and 13 (2..41) below
+    psi_13 ~ 3.3e24 (OEIS A014233; Sorenson and Webster 2017, Math. Comp.
+    86).  From 3.3e24 on all 13 bases run and a strong Lucas round is added
+    (the Baillie-PSW combination), which has no known counterexample but is
+    proven only below 2^64.
     """
     if n < 2:
         return False
     if math.gcd(n, _SMALL_PRIMORIAL) != 1:
         return n in _SMALL_PRIMES
-    count = next((k for bound, k in _MR_BASE_COUNTS if n < bound), len(_SMALL_PRIMES))
-    for base in _SMALL_PRIMES[:count]:
+    bases = next((row for bound, row in _MR_BASE_SETS if n < bound), _SMALL_PRIMES)
+    for base in bases:
         if not _miller_rabin(n, base):
             return False
     return n < _MR_PROVEN_BOUND or _strong_lucas_prp(n)
@@ -422,24 +442,31 @@ def _perfect_power(m: int) -> tuple[int, int]:
 
 
 def _trial_stage(n: int) -> tuple[dict[int, int], int]:
-    """The primes below TRIAL_DIVISION_LIMIT that divide gcd(n, their
-    product), with their exponents, and what is left of n: 1, a prime, or a
-    product of primes above the limit."""
+    """The primes below TRIAL_DIVISION_LIMIT that divide n, read off
+    gcd(n, their product), with their exponents, and what is left of n: 1 or
+    a product of primes above the limit.  The primes of the gcd are taken in
+    order while p^2 is at most what is left of it; then that rest is 1 or its
+    last prime, which is stripped directly."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
-    found: dict[int, int] = {}
-    remaining = n
     small = math.gcd(n, _PRIMORIAL)
+    primes = []
     for p in _TRIAL_PRIMES:
-        if small == 1 or p * p > remaining:
+        if p * p > small:
             break
         if small % p == 0:
             small //= p
-            e = 0
-            while remaining % p == 0:
-                remaining //= p
-                e += 1
-            found[p] = e
+            primes.append(p)
+    if small > 1:
+        primes.append(small)
+    found: dict[int, int] = {}
+    remaining = n
+    for p in primes:
+        e = 0
+        while remaining % p == 0:
+            remaining //= p
+            e += 1
+        found[p] = e
     return found, remaining
 
 

@@ -252,16 +252,18 @@ def window_terms(factors: Sequence[PolynomialZ], r: int, window_length: int,
         value, rem = divmod(math.prod(values), divisor)
         if rem:
             raise ArithmeticError("content does not divide a window term")
-        _hold_to_term_cap(f"term at x = {x}", value)
+        if value.bit_length() > MAX_TERM_BITS:   # the message only for a term that breaks the cap
+            _hold_to_term_cap(f"term at x = {x}", value)
         terms.append((i, value, (value,) if len(values) == 1 else tuple(map(abs, values))))
     return terms
 
 
 def _factor_window(r: int, terms: list[tuple[int, int, tuple[int, ...]]]
                    ) -> dict[int, tuple[tuple[int, int], ...]]:
-    """The prime factors of each distinct term value, in ascending order, from
-    the exponents of its pieces merged.  Every term is checked to be positive,
-    in index order, before any factoring.  All pieces of the window go to one
+    """The prime factors of each distinct term value, in ascending order: a
+    value of one piece takes that piece's factorization, and the exponents
+    of several pieces are merged.  Every term is checked to be positive, in
+    index order, before any factoring.  All pieces of the window go to one
     ``factorize_batch``, which factors a value that recurs, as x+b at x does
     as x'+a at x' = x+b-a, once."""
     pieces = {}
@@ -275,6 +277,9 @@ def _factor_window(r: int, terms: list[tuple[int, int, tuple[int, ...]]]
                                 for piece in value_pieces])
     merged = {}
     for value, value_pieces in pieces.items():
+        if len(value_pieces) == 1:
+            merged[value] = factored[value].factors
+            continue
         exponents = {}
         for piece in value_pieces:
             for p, e in factored[piece].factors:
@@ -320,11 +325,13 @@ def window_stats(f: PolynomialZ, r: int, window_length: int, prime_filter: str,
     for i, value, _ in terms:
         factors = factored[value]
         lpf = factors[-1][0] if factors else None
-        has_large = bool(_qualifying(factors, R, ABOVE_R))
-        has_mid = bool(_qualifying(factors, R, MID_RANGE))
-        for p, e in factors:
-            if p <= R:
-                log_smooth += e * math.log(p)
+        has_large = lpf is not None and lpf > R   # the primes ascend
+        has_mid = False
+        for p, e in factors:   # the primes up to R
+            if p > R:
+                break
+            log_smooth += e * math.log(p)
+            has_mid = has_mid or 2 * p > R
         qualifies = has_large if prime_filter == ABOVE_R else has_mid
         records.append(WindowRecord(i, value, lpf, qualifies))
         above += has_large

@@ -100,13 +100,61 @@ def test_is_prime_rejects_the_a014233_strong_pseudoprimes():
         assert not is_prime(n), n
 
 
-def test_miller_rabin_base_counts_match_a014233():
-    # psi_k fools all k bases used below it: there those bases stop being proven
-    assert [bound for bound, _ in arith._MR_BASE_COUNTS] == list(A014233)
-    for bound, count in arith._MR_BASE_COUNTS:
-        bases = arith._SMALL_PRIMES[:count]
-        assert all(arith._miller_rabin(bound, base) for base in bases), bound
+def test_miller_rabin_base_sets_are_pinned():
+    bounds = [bound for bound, _ in arith._MR_BASE_SETS]
+    assert all(a < b for a, b in zip(bounds, bounds[1:])), bounds
+    assert arith._MR_BASE_SETS[-2:] == ((A014233[-2], arith._SMALL_PRIMES[:12]),
+                                        (A014233[-1], arith._SMALL_PRIMES[:13]))
     assert arith._MR_PROVEN_BOUND == A014233[-1]
+    # every bound but 2^64 is an odd composite that fools its own bases (psi_12
+    # and psi_13 the first 12 and 13 primes): there those bases stop being proven
+    for bound, bases in arith._MR_BASE_SETS:
+        if bound != 2**64:
+            assert bound % 2 and not sympy.isprime(bound), bound
+            assert all(arith._miller_rabin(bound, base) for base in bases), bound
+
+
+def test_miller_rabin_takes_the_base_mod_n():
+    # 2047 = 23 * 89 is a strong pseudoprime to base 2, not to base 3
+    assert arith._miller_rabin(2047, 2047 + 2)
+    assert not arith._miller_rabin(2047, 3 * 2047 + 3)
+    assert not arith._miller_rabin(2047, 3)
+    # a base = 0 (mod n) witnesses nothing, for a prime or a composite n
+    assert arith._miller_rabin(61, 61)
+    assert arith._miller_rabin(61, 5 * 61)
+    assert arith._miller_rabin(91, 91)
+    assert not arith._miller_rabin(91, 2)
+
+
+def sieve(limit):
+    """Flags of primality for 0..limit - 1, independent of arith."""
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return flags
+
+
+def test_is_prime_matches_a_sieve_below_2_19():
+    flags = sieve(2**19)
+    assert [n for n in range(2**19) if is_prime(n) != flags[n]] == []
+
+
+def test_is_prime_rejects_the_base_2_strong_pseudoprimes_below_10_6():
+    # the odd composites n = d 2^s + 1 with 2^d = 1 or 2^(d 2^j) = -1 (mod n)
+    # for some j < s; OEIS A001262 has 46 of them below 10^6
+    flags = sieve(10**6)
+    pseudoprimes = []
+    for n in range(3, 10**6, 2):
+        if flags[n] or pow(2, n - 1, n) != 1:
+            continue
+        s = ((n - 1) & (1 - n)).bit_length() - 1
+        x = pow(2, (n - 1) >> s, n)
+        if x == 1 or n - 1 in (pow(x, 2**j, n) for j in range(s)):
+            pseudoprimes.append(n)
+    assert len(pseudoprimes) == 46 and pseudoprimes[:3] == [2047, 3277, 4033]
+    assert [n for n in pseudoprimes if is_prime(n)] == []
 
 
 def test_strong_lucas_agrees_with_trial_division():

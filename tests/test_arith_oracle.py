@@ -4,9 +4,12 @@ strong Lucas round against sympy's; crt_solve against sympy's crt.
 Covers random integers, prime powers and prime-square multiples just above
 the trial-division cutover (and above 2^16, 10^6 and 2^31), exact powers of
 primes above 2^31 and 2^40 (split by the perfect-power test, not by rho), and
-Carmichael numbers, which fool the Fermat test for every coprime base.  The
-gcd trial stage is checked at its edges: values with no trial prime, only
-trial primes, every trial prime, and primes on both sides of 2^10.  The
+Carmichael numbers, which fool the Fermat test for every coprime base.
+is_prime is checked in each band of its Miller-Rabin base sets, near each
+bound and at random inside.  The gcd trial stage is checked at its edges:
+values with no trial prime, only trial primes, every trial prime, primes on
+both sides of 2^10, and gcds whose last prime is above the square root of
+the rest of the gcd.  The
 medium stage of factorize_batch is checked against sympy and against
 factorize of each value, at the primes on both sides of 2^10 and 2^16, at
 the 2^32 bound below which it takes a factor as prime without a test, and at
@@ -108,6 +111,17 @@ def test_primorial_is_the_product_of_the_trial_primes():
                                _PRIMORIAL, _PRIMORIAL**2, _PRIMORIAL * (2**61 - 1)])
 def test_factorize_gcd_trial_stage_edges(n):
     assert_matches_oracle(n)
+
+
+# the primes of gcd(n, _PRIMORIAL) end in one above the square root of what
+# is left of the gcd: 1021 is the largest trial prime, 1019 the one before
+@pytest.mark.parametrize("n", [2 * 1021, 1021**2, 1019 * 1021, 1021 * (2**61 - 1),
+                               3**5 * 1021 * 65537])
+def test_the_trial_stage_strips_the_last_prime_of_the_gcd(n):
+    found, rest = arith._trial_stage(n)
+    assert found[1021] == sympy.factorint(n)[1021] and math.gcd(rest, _PRIMORIAL) == 1
+    assert dict(factorize(n).factors) == sympy.factorint(n)
+    assert dict(factorize_batch([n])[n].factors) == sympy.factorint(n)
 
 
 @ORACLE
@@ -300,6 +314,18 @@ def test_is_prime_matches_sympy_up_to_128_bits(n):
 def test_is_prime_accepts_primes_up_to_128_bits(bits):
     assert is_prime(sympy.prevprime(2**bits + 1))
     assert is_prime(sympy.nextprime(2 ** (bits - 1)))
+
+
+def test_is_prime_matches_sympy_in_each_miller_rabin_band():
+    # each band of _MR_BASE_SETS: the odd n within 2,000 of its bound, on both
+    # sides, and 2,000 random odd n inside it
+    rng = random.Random(38)
+    low = 3
+    for bound, _ in arith._MR_BASE_SETS:
+        near = range((bound - 2000) | 1, bound + 2000, 2)
+        inside = [rng.randrange(low, bound) | 1 for _ in range(2000)]
+        assert [n for n in [*near, *inside] if is_prime(n) != sympy.isprime(n)] == [], bound
+        low = bound
 
 
 # OEIS A217255: the strong Lucas pseudoprimes (Selfridge's parameters) below 10^5
