@@ -3,7 +3,9 @@
 Subcommands run the experiment suites and emit machine-readable reports
 (JSON to stdout, CSV dumps to files); outputs are byte-stable for identical
 inputs.  Exit codes: 0 ok, 1 selftest violation, 2 bad flags or values,
-3 desk-scale guard.  A named subcommand builds only its own parser.
+3 desk-scale guard.  A named command is parsed by its own parser alone; the
+full parser is built only to report an unrecognized argument or a missing or
+unknown command.  The cover file is read as UTF-8.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def _write_atomic(path: str, text: str) -> None:
         tmp = os.path.join(os.path.dirname(real), f".tmp-{os.urandom(8).hex()}")
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w") as handle:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
             if mode is not None:
                 os.chmod(tmp, stat.S_IMODE(mode))
@@ -180,7 +182,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_cover(args) -> int:
     adjacency: dict[str, list[str]] = {}
-    with open(args.graph) as handle:
+    with open(args.graph, encoding="utf-8") as handle:
         for line in handle:
             tokens = line.split()
             if not tokens or tokens[0].startswith("#"):
@@ -267,22 +269,32 @@ _COMMANDS = {   # name: (help, the function that adds its arguments and handler)
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prodsets",
         description="Exact experiments on integer sequences in product sets B.B")
-    # with one command, the metavar still names all seven in the usage line
-    sub = parser.add_subparsers(dest="command", required=True, metavar=None if command is None
-                                else "{" + ",".join(_COMMANDS) + "}")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments) in _COMMANDS.items():
-        if command in (None, name):
-            add_arguments(sub.add_parser(name, help=help_text))
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace ``build_parser().parse_args(argv)`` gives, read by the
+    named command's own parser alone when that parser takes every argument."""
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"prodsets {argv[0]}")
+        parser.set_defaults(command=argv[0])
+        _COMMANDS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    # no command, an unknown one or an argument left over: the full parser reports it
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.handler(args)
     except DeskScaleError as exc:

@@ -354,12 +354,18 @@ def window_stats_csv(stats: WindowStats) -> str:
 # ---------------------------------------------------------------------------
 
 class WitnessReport(NamedTuple):
-    """Lower bound on |B| for any product set containing the window.
+    """Lower bound on |B| for any set B of complex numbers whose product set
+    holds the window.
 
     ``terms`` are the window values with a qualifying prime factor,
-    ``cover`` is the fresh-prime subsequence of length k; since the
-    representation graph of the cover over any such B is cycle-free,
-    k <= 2|B| - 1, i.e. |B| >= ceil((k+1)/2).
+    ``cover`` is the fresh-prime subsequence of length k: each entry has a
+    prime dividing no earlier entry.  Join b in a left copy of B to b' in a
+    right copy for each entry b*b'.  An even cycle of this two-class graph
+    gives prod t_odd = prod t_even over its edges, both being the product
+    of its vertices, for complex B as well (a nonzero term has nonzero
+    factors, so 0 is on no edge).  The fresh prime of the cycle's latest
+    cover entry divides one side only, so the graph is a forest on 2|B|
+    vertices: k <= 2|B| - 1, i.e. |B| >= ceil((k+1)/2).
     """
 
     case: int

@@ -133,14 +133,18 @@ def test_bad_flags_exit_two(capsys):
 
 
 def test_the_command_table_lists_the_subcommands_in_order():
-    # the one-command parser's metavar is built from the table
+    # the full parser's usage line names the commands in the table's order
     assert list(cli._COMMANDS) == SUBCOMMANDS
 
 
-def parse_outcome(parser, argv, capsys):
-    with pytest.raises(SystemExit) as info:
-        parser.parse_args(argv)
-    return (info.value.code, *capsys.readouterr())
+def parse_outcome(parse, argv, capsys):
+    """The namespace ``parse`` returns or the code it exits with, then its
+    stdout and stderr."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    return (result, *capsys.readouterr())
 
 
 def main_outcome(capsys, *argv):
@@ -153,10 +157,9 @@ def main_outcome(capsys, *argv):
 
 @pytest.fixture
 def built(monkeypatch):
-    """The command of each build_parser call main makes."""
+    """One entry per full parser that main builds."""
     calls = []
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda command=None: calls.append(command) or build_parser(command))
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append("full") or build_parser())
     return calls
 
 
@@ -185,27 +188,65 @@ REJECTED = [[cmd, *tail] for cmd, (bad, good) in PARSE_CASES.items()
 
 @pytest.mark.parametrize("argv", REJECTED, ids=" ".join)
 def test_one_subcommand_parser_exits_as_the_full_parser(argv, capsys, built):
-    one = parse_outcome(build_parser(argv[0]), argv, capsys)
-    assert one == parse_outcome(build_parser(), argv, capsys)
+    one = parse_outcome(build_parser().parse_args, argv, capsys)
     assert one[0] == (0 if "--help" in argv else 2)
     assert main_outcome(capsys, argv) == one
-    assert built == [argv[0]]
+    # only an unrecognized argument sends main to the full parser
+    assert built == ["full"] * ("error: unrecognized arguments: " in one[2])
+    assert parse_outcome(cli.parse_args, argv, capsys) == one
 
 
 @pytest.mark.parametrize("cmd", SUBCOMMANDS)
-def test_one_subcommand_parser_reads_as_the_full_parser(cmd):
+def test_one_subcommand_parser_reads_as_the_full_parser(cmd, built):
     argv = [cmd, *PARSE_CASES[cmd][1]]
-    assert build_parser(cmd).parse_args(argv) == build_parser().parse_args(argv)
+    args = cli.parse_args(argv)
+    assert args == build_parser().parse_args(argv)
+    assert args.command == cmd
+    assert built == []
 
 
 @pytest.mark.parametrize("cmd", SUBCOMMANDS)
-def test_one_subcommand_parser_holds_no_other(cmd, capsys):
-    parser = build_parser(cmd)
+def test_one_subcommand_parser_holds_no_other(cmd, capsys, built):
+    # another command's name after this one is a stray argument: help still
+    # prints this command's help, as the full parser's subparser does
     for other in SUBCOMMANDS:
         if other != cmd:
-            code, out, err = parse_outcome(parser, [other, "--help"], capsys)
-            assert (code, out) == (2, "")
-            assert f"invalid choice: '{other}'" in err
+            argv = [cmd, other, "--help"]
+            one = parse_outcome(cli.parse_args, argv, capsys)
+            assert one == parse_outcome(build_parser().parse_args, argv, capsys)
+            assert one[0] == 0 and one[1].startswith(f"usage: prodsets {cmd} ")
+            assert f"prodsets {other}" not in one[1]
+    assert built == []
+
+
+# argv shapes that PARSE_CASES leaves out, with main's exit code
+ARGV_SHAPES = {
+    "equals": (["graph", "--mode=two", "--set=1,2", "--seq=fib"], 0),
+    "abbreviations": (["fib-extremal", "--uni", "5", "--si", "2"], 0),
+    "ambiguous abbreviation": (["lucas-bound", "--se", "1,2", "--seq", "fib"], 2),
+    "repeated flags": (["lucas-bound", "--set", "1,2", "--seq", "fib", "--seq", "lucasV"], 0),
+    "-- then args": (["cover", "--graph", "graph.txt", "--", "x"], 2),
+    "-- before the flags": (["lucas-bound", "--", "--set", "1,2", "--seq", "fib"], 2),
+    "-h after flags": (["window", "--poly", "0,1", "--r", "0", "--R", "5", "--filter",
+                        "above", "-h"], 0),
+    "unknown flag first": (["lucas-bound", "--foo", "--set", "1,2", "--seq", "fib"], 2),
+    "stray positional": (["lucas-bound", "stray", "--set", "1,2", "--seq", "fib"], 2),
+    "missing value": (["graph", "--set", "1,2", "--seq", "fib", "--mode"], 2),
+    "gamma after a space": (["witness", "--poly-factors", "0,1", "--r", "10", "--R", "5",
+                             "--gamma", "-1/2"], 2),
+    "gamma joined": (["witness", "--poly-factors", "0,1", "--r", "10", "--R", "5",
+                      "--gamma=-1/2"], 0),
+}
+
+
+@pytest.mark.parametrize("argv, code", ARGV_SHAPES.values(), ids=ARGV_SHAPES)
+def test_main_reads_every_argv_shape_as_the_full_parser(argv, code, capsys, monkeypatch):
+    one = parse_outcome(cli.parse_args, argv, capsys)
+    assert one == parse_outcome(build_parser().parse_args, argv, capsys)
+    outcome = main_outcome(capsys, argv)
+    assert outcome[0] == code
+    monkeypatch.setattr(cli, "parse_args", lambda argv: build_parser().parse_args(argv))
+    assert main_outcome(capsys, argv) == outcome
 
 
 @pytest.mark.parametrize("argv, code, needles", [
@@ -216,8 +257,8 @@ def test_one_subcommand_parser_holds_no_other(cmd, capsys):
 def test_main_builds_every_subparser_without_a_known_command(argv, code, needles, capsys,
                                                              built):
     outcome = main_outcome(capsys, argv)
-    assert built == [None]
-    assert outcome == parse_outcome(build_parser(), argv, capsys)
+    assert built == ["full"]
+    assert outcome == parse_outcome(build_parser().parse_args, argv, capsys)
     assert outcome[0] == code
     assert all(needle in outcome[1 + (code == 2)] for needle in needles)
 
@@ -230,7 +271,7 @@ def test_main_without_argv_reads_the_command_from_sys_argv(argv, capsys, monkeyp
     # the console script calls main() with no argv
     monkeypatch.setattr(sys, "argv", ["prodsets", *argv])
     outcome = main_outcome(capsys)
-    assert built == [argv[0] if argv[0] in SUBCOMMANDS else None]
+    assert built == ["full"] * (argv[0] not in SUBCOMMANDS)
     assert outcome == main_outcome(capsys, sys.argv[1:])
     assert outcome[0] == (0 if argv[0] == "lucas-bound" else 2)
 
@@ -584,3 +625,28 @@ def test_python_m_prodsets_exits_with_the_code_of_main(argv, code):
         assert result.stdout == "" and result.stderr.startswith("error: ")
     else:
         assert json.loads(result.stdout)["ok"] is True and result.stderr == ""
+
+
+def test_cover_and_out_files_are_utf_8_under_a_c_locale(tmp_path):
+    # the C locale's default encoding is ASCII: each open must name UTF-8,
+    # which -X warn_default_encoding turns into an error where it does not
+    graph = tmp_path / "graph.txt"
+    graph.write_text("bé a1 a2\nb2 a2\n", encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    runs = {"C": ({"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+                  ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]),
+            "UTF-8": ({"PYTHONUTF8": "1"}, [])}
+    for argv in (["cover", "--graph", str(graph)],
+                 ["fib-extremal", "--universe", "7", "--size", "2", "--out"]):
+        seen = {}
+        for name, (locale, flags) in runs.items():
+            out = tmp_path / f"report-{name}.json"
+            result = subprocess.run(
+                [sys.executable, *flags, "-m", "prodsets", *argv]
+                + ([str(out)] if argv[-1] == "--out" else []),
+                env=env | locale, capture_output=True, encoding="utf-8")
+            assert (result.returncode, result.stderr) == (0, ""), result.stderr
+            seen[name] = (result.stdout, out.read_text("utf-8") if out.exists() else None)
+        assert seen["C"] == seen["UTF-8"]
+        assert argv[0] != "cover" or '"b\\u00e9"' in seen["C"][0]
