@@ -246,7 +246,7 @@ def check_10_mid_prime_floor() -> str:
     parts = []
     for R in (100, 200, 400):
         stats = polyseq.window_stats(f, 0, R, polyseq.MID_RANGE)
-        floor = len([p for p in arith.primes_upto(R) if p > R // 2])
+        floor = len(arith.primes_in_range(R // 2, R))
         _require(stats.mid_count >= floor,
                  f"R={R}: {stats.mid_count} qualifying terms < {floor} primes")
         parts.append(f"R={R}: {stats.mid_count} >= {floor}")

@@ -11,13 +11,14 @@ proven for their size (Jaeschke 1993, Math. Comp. 61; the sets of sympy's
 ``isprime`` up to 2^64; OEIS A014233 and Sorenson and Webster 2017, Math.
 Comp. 86, above it), and above psi_13 Baillie-PSW, a probable-prime test,
 passes them; ``factorize_batch`` also proves those below 2^32 without a
-test.  One split loop serves both: Pollard rho splits the composites of a
-round in lanes of up to 4 walked modulo their product, and each lane gets
-the factor its own walk gives.  The walk stops at a step
-budget; the composites it leaves open go to Lenstra's elliptic curve method
-on Montgomery curves (Montgomery 1987, Math. Comp. 48), whose curves run in
-lanes the same way, and one that ECM's fixed schedule does not split goes
-back to rho with no budget.  That cut the 100-term window of x^2+1 at
+test.  One split loop serves both: Pollard rho runs c by c over the
+composites of a round, the way Lenstra's elliptic curve method on
+Montgomery curves (Montgomery 1987, Math. Comp. 48) runs its curves: each
+c, or curve, takes the composites still open in lanes of up to 4 modulo
+their product, and each lane gets the factor its own walk gives.  A rho
+walk stops at a step budget, and a composite reaches ECM only when its own
+walk outlasts it; one that ECM's fixed schedule does not split goes back
+to rho with no budget.  That cut the 100-term window of x^2+1 at
 r = 2^47 + 12345 (95-bit terms) from 8.8 s to 1.2 s.
 """
 
@@ -63,7 +64,6 @@ _RHO_BUDGET = 2**10
 # one-lane ECM took 0.9 s where rho with no budget took 3.4 s, and it split
 # every one
 _ECM_SCHEDULE = ((250, 40), (500, 60), (1000, 200))
-_ECM_WHOLE_RUN = 8   # ECM gives n up after this many curves in a row meet it whole
 _ECM_D = 210   # stage 2's giant step: baby steps j < 105 prime to it pair every prime
 
 
@@ -252,22 +252,23 @@ class Factorization(namedtuple("Factorization", "subject factors")):
 def _rho_lanes(composites: list[int], budget: float = math.inf) -> dict[int, int]:
     """A nontrivial factor of each of some distinct odd composites with no
     small prime factor, by Brent's variant of Pollard rho with q reduced once
-    per two comparison steps (the same residue at every gcd).  Up to _LANES
-    composites are walked as lanes modulo their product: a step pays the
-    interpreter once for all of them, and one reduction modulo the larger
-    product.  A lane's residues are those of its own walk: it leaves at the
-    gcd where that walk stops, with the factor that walk gives.  The
-    parameter c is swept deterministically, so concurrent and repeated calls
-    agree.  Under a finite ``budget`` a walk stops once Brent's r passes it,
-    its group's sweep with it, and the composites it leaves unsplit are
-    missing from the result."""
-    factors = {}
-    for start in range(0, len(composites), _LANES):
-        group = composites[start:start + _LANES]
-        for c in range(1, 100):
-            lanes = [n for n in group if n not in factors]
-            if not lanes:
-                break
+    per two comparison steps (the same residue at every gcd).  The parameter
+    c runs 1, 2, ... deterministically, so concurrent and repeated calls
+    agree, and each c walks the composites still open in lanes of up to
+    _LANES modulo their product, as ``_ecm_lanes`` runs each curve: a step
+    pays the interpreter once for all of them, and one reduction modulo the
+    larger product.  A lane's residues are those of its own walk: it leaves
+    at the gcd where that walk stops, with the factor that walk gives, or,
+    when the walk meets all its primes at once, to retry with the next c.
+    Under a finite ``budget`` a lane leaves alone once its Brent's r passes
+    it, and the composites left unsplit are missing from the result."""
+    factors, walks = {}, list(composites)   # walks: the composites open at this c
+    for c in range(1, 100):
+        if not walks:
+            return factors
+        retry = []   # the lanes whose walk met all their primes at once
+        for start in range(0, len(walks), _LANES):
+            lanes = walks[start:start + _LANES]
             n_all = math.prod(lanes)
             # from y_2, r = 2: the r = 1 block's one product, 2 - y_2 =
             # -(c + 2)(c + 7), has only primes below 107, and so splits no lane
@@ -292,17 +293,17 @@ def _rho_lanes(composites: list[int], budget: float = math.inf) -> dict[int, int
                             while f == 1:
                                 z = (z * z + c) % n
                                 f = math.gcd(x - z, n)
-                        if f < n:    # else the lane waits for the next c
+                        if f < n:
                             factors[n] = f
+                        else:
+                            retry.append(n)
                         lanes.remove(n)
                         n_all //= n
                     y, x, q = y % n_all, x % n_all, q % n_all
                 r *= 2
-            if lanes:
-                break
-    for n in composites:
-        if n not in factors and budget == math.inf:
-            raise ArithmeticError(f"rho parameter sweep exhausted on {n}")
+        walks = retry
+    if walks and budget == math.inf:
+        raise ArithmeticError(f"rho parameter sweep exhausted on {walks[0]}")
     return factors
 
 
@@ -360,18 +361,17 @@ def _ecm_lanes(composites: list[int]) -> dict[int, int]:
     curve at its first gcd above 1, as its own run would, so a lane's factor
     is its one-lane factor; a curve that meets every prime of n at once
     (g = n) gives way to the next.  A composite is missing from the result
-    when the schedule ends unsplit or ``_ECM_WHOLE_RUN`` curves in a row meet
-    it whole.  Tables are built only for a curve that some lane runs."""
-    factors, whole = {}, dict.fromkeys(composites, 0)   # open n: curves in a row that met n whole
+    when the schedule ends unsplit.  Tables are built only for a curve that
+    some lane runs."""
+    factors, opened = {}, list(composites)   # opened: the composites still unsplit
     sigmas = itertools.count(6)
     for b1, curves in _ECM_SCHEDULE:
         for sigma in itertools.islice(sigmas, curves):
-            if not whole:
+            if not opened:
                 return factors
             multiplier, m0, stage2 = _ecm_tables(b1)
             u, v = sigma * sigma - 5, 4 * sigma
-            met = dict.fromkeys(whole, 1)   # n: the gcd above 1 at which n left the curve
-            opened = list(whole)
+            met = dict.fromkeys(opened, 1)   # n: the gcd above 1 at which n left the curve
             for start in range(0, len(opened), _LANES):
                 lanes = opened[start:start + _LANES]
                 n_all = _leave(16 * u**3 * v, lanes, met)
@@ -402,12 +402,8 @@ def _ecm_lanes(composites: list[int]) -> dict[int, int]:
                         baby = {j: (bx % n_all, bz % n_all) for j, (bx, bz) in baby.items()}
                     s, d = (xn - zn) * (xd + zd), (xn + zn) * (xd - zd)
                     xm, zm, xn, zn = xn, zn, zm * (s + d) ** 2 % n_all, xm * (s - d) ** 2 % n_all
-            for n, g in met.items():
-                whole[n] = whole[n] + 1 if g == n else 0
-                if 1 < g < n:
-                    factors[n] = g
-                if 1 < g < n or whole[n] == _ECM_WHOLE_RUN:
-                    del whole[n]
+            factors.update((n, g) for n, g in met.items() if 1 < g < n)
+            opened = [n for n in opened if n not in factors]
     return factors
 
 
@@ -441,6 +437,18 @@ def _perfect_power(m: int) -> tuple[int, int]:
     return m, 1
 
 
+def _strip(n: int, primes: Iterable[int], found: dict[int, int]) -> int:
+    """What is left of n once each of ``primes`` is divided out of it, each
+    with its exponent recorded in ``found``."""
+    for p in primes:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        found[p] = e
+    return n
+
+
 def _trial_stage(n: int) -> tuple[dict[int, int], int]:
     """The primes below TRIAL_DIVISION_LIMIT that divide n, read off
     gcd(n, their product), with their exponents, and what is left of n: 1 or
@@ -460,14 +468,7 @@ def _trial_stage(n: int) -> tuple[dict[int, int], int]:
     if small > 1:
         primes.append(small)
     found: dict[int, int] = {}
-    remaining = n
-    for p in primes:
-        e = 0
-        while remaining % p == 0:
-            remaining //= p
-            e += 1
-        found[p] = e
-    return found, remaining
+    return found, _strip(n, primes, found)
 
 
 def _split(staged: dict[int, tuple[dict[int, int], int]],
@@ -555,13 +556,7 @@ def factorize_batch(values: Iterable[int]) -> dict[int, Factorization]:
                     lambda m: m < TRIAL_DIVISION_LIMIT**2)
     for n, h in medium.items():
         found, c = staged[n]
-        for p, _ in primes[h].factors:
-            e = 0
-            while c % p == 0:
-                c //= p
-                e += 1
-            found[p] = e
-        staged[n] = found, c
+        staged[n] = found, _strip(c, (p for p, _ in primes[h].factors), found)
     return _split(staged, lambda m: m < _MEDIUM_PRIME_LIMIT**2 or is_prime(m))
 
 

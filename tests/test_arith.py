@@ -254,6 +254,13 @@ def test_a_lane_that_meets_both_primes_in_one_block_retries_with_the_next_c():
     assert factors == {m: arith._rho_lanes([m])[m] for m in others + [n]}
 
 
+def test_a_lane_retries_with_the_next_c_whatever_its_lane_mates_do():
+    # at c = 1, 1031 * 1223 shares a group with a composite of two 32-bit
+    # primes, whose walk passes the budget; it still retries alone at c = 2
+    n, m = 1031 * 1223, (2**32 - 5) * (2**32 + 15)
+    assert arith._rho_lanes([m, n], arith._RHO_BUDGET) == {n: 1223}
+
+
 def ecm_corpus(count=20, seed=20261020):
     """The primes of odd composites whose least prime p has 24-44 bits, past
     what the rho lane budget splits: p*q, or p*s*q for every third one, with
@@ -278,8 +285,8 @@ ECM_CORPUS_DIGEST = "0538bc12ab4dc9b34d3fd56ba994f9c1901edfab619aa6b9bb6b883afbf
 
 
 def test_ecm_lanes_give_each_composite_its_one_lane_factor(monkeypatch):
-    # 2017 * 2417 leaves after _ECM_WHOLE_RUN curves that meet it whole, and
-    # 5161811 * 5162827 outlasts a schedule of two curves
+    # every curve meets 2017 * 2417 whole, and 5161811 * 5162827 outlasts a
+    # schedule of two curves: neither is split
     corpus = [math.prod(primes) for primes in ecm_corpus()]
     whole, unsplit = 2017 * 2417, 5161811 * 5162827
     mixed = corpus[:7] + [whole] + corpus[7:13] + [unsplit] + corpus[13:]
@@ -316,11 +323,20 @@ def test_ecm_takes_the_lanes_the_rho_budget_leaves_open(rho_calls, ecm_calls):
     assert arith._rho_lanes([n], arith._RHO_BUDGET) == {}
 
 
+def test_only_a_composite_whose_own_walk_outlasts_the_budget_reaches_ecm(ecm_calls):
+    # rho splits 1031 * 1223 at c = 2 (its c = 1 walk meets both primes at
+    # once), so ECM sees only the product of the two 32-bit primes
+    n = 1031 * 1223 * (2**32 - 5) * (2**32 + 15)
+    assert factorize(n).factors == ((1031, 1), (1223, 1), (2**32 - 5, 1), (2**32 + 15, 1))
+    assert [composites for composites, _ in ecm_calls if composites] == [
+        [(2**32 - 5) * (2**32 + 15)]]
+
+
 def test_a_composite_ecm_meets_whole_falls_back_to_the_unbudgeted_walk(rho_calls, ecm_calls,
                                                                       monkeypatch):
-    # every curve meets 2017 and 2417 at once (g = n), and ECM gives the
-    # composite up after _ECM_WHOLE_RUN of them, not after the whole schedule;
-    # with no rho budget it reaches ECM, then the walk with no budget
+    # every curve meets 2017 and 2417 at once (g = n), so ECM runs its whole
+    # schedule and gives the composite up; with no rho budget it reaches ECM,
+    # then the walk with no budget
     n = 2017 * 2417
     ladders = []
     ladder = arith._ladder
@@ -328,7 +344,8 @@ def test_a_composite_ecm_meets_whole_falls_back_to_the_unbudgeted_walk(rho_calls
     monkeypatch.setattr(arith, "_RHO_BUDGET", 0)
     assert factorize(n).factors == ((2017, 1), (2417, 1))
     assert [factors.get(m) for composites, factors in ecm_calls for m in composites] == [None]
-    assert 0 < len(ladders) <= arith._ECM_WHOLE_RUN == 8
+    multipliers = {arith._ecm_tables(b1)[0] for b1, _ in arith._ECM_SCHEDULE}
+    assert len([a for a in ladders if a[0] in multipliers]) == 300
     assert [walked for walked in rho_calls if walked] == [[n], [n]]
 
 
@@ -341,8 +358,8 @@ def test_rho_lanes_give_up_on_a_prime_after_the_whole_sweep():
 
 
 def test_an_ecm_schedule_that_ends_unsplit_falls_back_to_the_unbudgeted_walk(monkeypatch):
-    # two curves at B1 = 250 split neither prime of 23 bits, and two are too
-    # few for _ECM_WHOLE_RUN: _ecm_lanes leaves it out at the schedule's end
+    # two curves at B1 = 250 split neither prime of 23 bits: _ecm_lanes
+    # leaves it out at the schedule's end
     n = 5161811 * 5162827
     ladders = []
     ladder = arith._ladder
@@ -350,7 +367,7 @@ def test_an_ecm_schedule_that_ends_unsplit_falls_back_to_the_unbudgeted_walk(mon
     monkeypatch.setattr(arith, "_ECM_SCHEDULE", ((250, 2),))
     assert arith._ecm_lanes([n]).get(n) is None
     stage1 = [a for a in ladders if a[0] == arith._ecm_tables(250)[0]]
-    assert len(stage1) == 2 < arith._ECM_WHOLE_RUN
+    assert len(stage1) == 2
     monkeypatch.setattr(arith, "_RHO_BUDGET", 0)
     assert factorize(n).factors == ((5161811, 1), (5162827, 1))
     assert factorize_batch([n])[n].factors == ((5161811, 1), (5162827, 1))
